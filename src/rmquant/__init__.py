@@ -1,8 +1,8 @@
 """Recursive marginal quantization of scalar SDEs with grid-based pricers."""
 
-from .affine_schemes import (AffineUpdate, InnovationLaw, UpdateBatch,
-                             euler_update, euler_updates, milstein_update,
-                             milstein_updates, weak2_update, weak2_updates)
+from .affine_schemes import (AffineUpdate, UpdateBatch, euler_update,
+                             euler_updates, milstein_update, milstein_updates,
+                             weak2_update, weak2_updates)
 from .distributions import (Ncx2Params, ScalarDistribution, ncx2_1_funcs,
                             reflect_funcs, std_normal_funcs)
 from .oracles import (FdConfig, McConfig, black_scholes, cn_bermudan,
@@ -12,8 +12,7 @@ from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
 from .rmq_engine import (ABSORBING, FREE, REFLECTING, CodewordDomainError,
                          QuantizationSequence, RmqError, Schedule,
                          TransitionSet, implied_marginal_cdf,
-                         load_sequence_json, mixture_distortion,
-                         normalized_bounds, rmq_newton_step, rmq_run,
+                         load_sequence_json, mixture_distortion, rmq_run,
                          transition_set)
 from .sde_models import (CevParams, GbmParams, SdeModel, cev_model,
                          gbm_exact_marginal, gbm_model)

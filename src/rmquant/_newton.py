@@ -1,5 +1,6 @@
-"""Damped Newton iteration on a tridiagonal system, shared by the
-single-distribution quantizer and the recursive marginal engine.
+"""Damped Newton iteration on a tridiagonal system, and the distortion
+derivatives it consumes, shared by the single-distribution quantizer and
+the recursive marginal engine.
 
 The objective's Hessian is symmetric tridiagonal, so each iteration is an
 O(N) banded solve.  A full Newton step is accepted only if the trial grid
@@ -30,6 +31,38 @@ class StepEval:
     hess_off: np.ndarray    # length N-1 (super/sub diagonal, symmetric)
     centroids: np.ndarray   # conditional means per region (Lloyd update)
     aux: Any = None         # caller-specific payload (probabilities, matrices)
+
+
+def voronoi_edges(gam: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The N+1 region boundaries of a grid: ``lo``, the midpoints, ``hi``."""
+    edges = np.empty(gam.size + 1)
+    edges[0] = lo
+    edges[-1] = hi
+    edges[1:-1] = 0.5 * (gam[:-1] + gam[1:])
+    return edges
+
+
+def step_eval(gam, mass, loc_moment, scale_moment, edge_density,
+              aux=None) -> StepEval:
+    """Distortion derivatives and centroids from per-region quantities.
+
+    ``mass`` and ``loc_moment + scale_moment`` are each region's
+    probability and first partial moment, ``edge_density`` the density at
+    the inner boundaries (formulas in :mod:`rmquant.vq1d`).  The moment
+    comes in two parts, summed in this order; a single law passes 0.0 as
+    ``loc_moment``.
+    """
+    grad = 2.0 * (gam * mass - loc_moment - scale_moment)
+    off = -0.5 * edge_density * np.diff(gam)
+    diag = 2.0 * mass
+    diag[:-1] += off
+    diag[1:] += off
+    occupied = mass > 1e-300
+    cent = np.where(occupied,
+                    (loc_moment + scale_moment) / np.where(occupied, mass, 1.0),
+                    gam)
+    return StepEval(grad=grad, hess_diag=diag, hess_off=off, centroids=cent,
+                    aux=aux)
 
 
 def solve_tridiag(diag, off, rhs):

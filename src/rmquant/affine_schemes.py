@@ -29,13 +29,11 @@ and are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
-from . import _fast
-from .distributions import _split_sqrt, ncx2_m2, norm_m2, norm_pdf
+from .distributions import (ncx2_fFM, ncx2_m2, norm_fFM, norm_m2, reflect_fFM,
+                            reflect_m2)
 from .sde_models import SdeModel
 
 GAUSSIAN = "gaussian"
@@ -46,39 +44,27 @@ DEGENERACY_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
-class InnovationLaw:
-    """Law of the innovation Z: standard normal or ncx2 with 1 dof."""
-
-    kind: str
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (GAUSSIAN, NCX2):
-            raise ValueError(f"unknown innovation kind {self.kind!r}")
-        if self.lam < 0.0:
-            raise ValueError("noncentrality must be >= 0")
-
-
-@dataclass(frozen=True)
 class AffineUpdate:
     """One-step update U = m Z + c for a single originating state.
 
-    ``fallback`` marks higher-order updates that degenerated to euler.
-    ``m`` may be negative in general; consumers must apply the sign
+    ``kind`` is the law of Z (``gaussian`` or ``ncx2`` with noncentrality
+    ``lam``); ``fallback`` marks higher-order updates that degenerated to
+    euler.  ``m`` may be negative in general; consumers must apply the sign
     conventions when turning state intervals into Z intervals.
     """
 
     m: float
     c: float
-    law: InnovationLaw
+    kind: str = GAUSSIAN
+    lam: float = 0.0
     fallback: bool = False
 
     def mean(self) -> float:
-        ez = 1.0 + self.law.lam if self.law.kind == NCX2 else 0.0
+        ez = 1.0 + self.lam if self.kind == NCX2 else 0.0
         return self.m * ez + self.c
 
     def variance(self) -> float:
-        vz = 2.0 * (1.0 + 2.0 * self.law.lam) if self.law.kind == NCX2 else 1.0
+        vz = 2.0 * (1.0 + 2.0 * self.lam) if self.kind == NCX2 else 1.0
         return self.m * self.m * vz
 
 
@@ -103,65 +89,21 @@ class UpdateBatch:
     def size(self) -> int:
         return self.m.shape[0]
 
-    @classmethod
-    def from_updates(cls, updates: Sequence[AffineUpdate]) -> "UpdateBatch":
-        m = [u.m for u in updates]
-        c = [u.c for u in updates]
-        lam = [u.law.lam for u in updates]
-        kinds = [u.law.kind == NCX2 for u in updates]
-        fb = [u.fallback for u in updates]
-        return cls(m, c, lam, kinds, fb)
-
-    def to_updates(self) -> List[AffineUpdate]:
-        out = []
-        for i in range(self.size):
-            kind = NCX2 if self.is_ncx2[i] else GAUSSIAN
-            lam = float(self.lam[i]) if self.is_ncx2[i] else 0.0
-            out.append(AffineUpdate(m=float(self.m[i]), c=float(self.c[i]),
-                                    law=InnovationLaw(kind, lam),
-                                    fallback=bool(self.fallback[i])))
-        return out
-
-    def innovation_mean(self) -> np.ndarray:
-        return np.where(self.is_ncx2, 1.0 + self.lam, 0.0)
-
-    # -- row-parameterized law evaluation -------------------------------
-
-    @property
-    def _homogeneous(self):
-        """'gaussian' / 'ncx2' when all rows share a law kind, else None."""
+    def _rowwise(self, gauss, ncx2):
+        """Tuple from ``gauss()`` or ``ncx2(lam)``, picked by each row's law."""
         if not np.any(self.is_ncx2):
-            return GAUSSIAN
+            return gauss()
+        nc = ncx2(self.lam[:, None])
         if np.all(self.is_ncx2):
-            return NCX2
-        return None
+            return nc
+        # Mixed rows (euler fallback inside a higher-order step).
+        mask = self.is_ncx2[:, None]
+        return tuple(np.where(mask, a, b) for a, b in zip(nc, gauss()))
 
     def _base_fFM(self, z):
         """(pdf, cdf, m1) of each row's innovation at the matrix z."""
         z = np.asarray(z, dtype=float)
-        if not np.any(self.is_ncx2):
-            p = norm_pdf(z)
-            return p, ndtr(z), -p
-        lam = self.lam[:, None]
-        pos, finite, xs, xp, xm = _split_sqrt(z, lam)
-        Pp, Pm = ndtr(xp), ndtr(xm)
-        pp, pm = norm_pdf(xp), norm_pdf(xm)
-        live = pos & finite
-        f = np.where(live, (pp + pm) / (2.0 * xs), 0.0)
-        F = np.where(pos, np.where(finite, Pp - Pm, 1.0), 0.0)
-        M1 = np.where(
-            pos,
-            np.where(finite, (1.0 + lam) * (Pp - Pm) + pp * xm - pm * xp,
-                     1.0 + lam),
-            0.0,
-        )
-        if np.all(self.is_ncx2):
-            return f, F, M1
-        # Mixed rows (euler fallback inside a higher-order step).
-        g = norm_pdf(z)
-        mask = self.is_ncx2[:, None]
-        return (np.where(mask, f, g), np.where(mask, F, ndtr(z)),
-                np.where(mask, M1, -g))
+        return self._rowwise(lambda: norm_fFM(z), lambda lam: ncx2_fFM(z, lam))
 
     def law_fFM(self, z, xbar=None):
         """Innovation (pdf, cdf, m1) at z; reflected about xbar if given.
@@ -170,48 +112,21 @@ class UpdateBatch:
         point per row.  The reflected m1 omits per-row constants, which
         cancel in the differences consumed by the quantization engine.
         """
-        kind = self._homogeneous
-        if _fast.HAVE_NUMBA and kind is not None and np.ndim(z) == 2:
-            zc = np.ascontiguousarray(z, dtype=float)
-            if xbar is None:
-                if kind == GAUSSIAN:
-                    return _fast.gaussian_triple(zc)
-                return _fast.ncx2_triple(zc, np.ascontiguousarray(self.lam))
-            xb = np.ascontiguousarray(xbar, dtype=float)
-            if kind == GAUSSIAN:
-                return _fast.gaussian_triple_reflected(zc, xb)
-            return _fast.ncx2_triple_reflected(
-                zc, np.ascontiguousarray(self.lam), xb)
         if xbar is None:
             return self._base_fFM(z)
-        xb = np.asarray(xbar, dtype=float)[:, None]
-        f1, F1, M11 = self._base_fFM(z)
-        zr = 2.0 * xb - np.asarray(z, dtype=float)
-        f2, F2, M12 = self._base_fFM(zr)
-        return f1 + f2, F1 - F2, M11 + M12 - 2.0 * xb * F2
+        return reflect_fFM(self._base_fFM, z,
+                           np.asarray(xbar, dtype=float)[:, None])
 
     def law_m2(self, z, xbar=None):
         """Second lower partial expectation, for distortion estimates."""
         def base(v):
-            if not np.any(self.is_ncx2):
-                return norm_m2(v)
-            nc = ncx2_m2(v, self.lam[:, None])
-            if np.all(self.is_ncx2):
-                return nc
-            return np.where(self.is_ncx2[:, None], nc, norm_m2(v))
+            return self._rowwise(lambda: (norm_m2(v),),
+                                 lambda lam: (ncx2_m2(v, lam),))[0]
 
         if xbar is None:
             return base(z)
-        xb = np.asarray(xbar, dtype=float)[:, None]
-        zr = 2.0 * xb - np.asarray(z, dtype=float)
-        _, Fr, M1r = self._base_fFM(zr)
-        return base(z) - base(zr) + 4.0 * xb * M1r - 4.0 * xb * xb * Fr
-
-
-def as_batch(updates: Union[UpdateBatch, Iterable[AffineUpdate]]) -> UpdateBatch:
-    if isinstance(updates, UpdateBatch):
-        return updates
-    return UpdateBatch.from_updates(list(updates))
+        return reflect_m2(base, self._base_fFM, z,
+                          np.asarray(xbar, dtype=float)[:, None])
 
 
 def euler_updates(model: SdeModel, x, dt: float) -> UpdateBatch:
@@ -269,7 +184,10 @@ def weak2_updates(model: SdeModel, x, dt: float) -> UpdateBatch:
 
 
 def _single(batch: UpdateBatch) -> AffineUpdate:
-    return batch.to_updates()[0]
+    return AffineUpdate(m=float(batch.m[0]), c=float(batch.c[0]),
+                        kind=NCX2 if batch.is_ncx2[0] else GAUSSIAN,
+                        lam=float(batch.lam[0]),
+                        fallback=bool(batch.fallback[0]))
 
 
 def euler_update(model: SdeModel, gamma: float, dt: float) -> AffineUpdate:

@@ -37,7 +37,7 @@ from .vq1d import Quantizer, distortion_gradient, initial_guess, newton_quantize
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - always present in the test env
+except ImportError:  # optional: without it --threads has no effect
     threadpool_limits = None
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _run_args(sp, default_n=200):
 def _common_args(sp):
     sp.add_argument("--config", help="key=value defaults file")
     sp.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS/OpenMP worker threads")
+                    help="cap BLAS worker threads (needs threadpoolctl)")
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--seed", type=int, default=None,
@@ -483,13 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"rmquant: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    if ns.threads is not None:
-        try:
-            import numba
-            numba.set_num_threads(max(1, min(ns.threads,
-                                             numba.config.NUMBA_NUM_THREADS)))
-        except ImportError:
-            pass
     limiter = (threadpool_limits(ns.threads)
                if ns.threads is not None and threadpool_limits is not None
                else nullcontext())

@@ -58,6 +58,13 @@ def norm_m2(x):
     return ndtr(x) - xf * norm_pdf(x)
 
 
+def norm_fFM(x):
+    """Fused (pdf, cdf, M1) of the standard normal."""
+    x = np.asarray(x, dtype=float)
+    p = norm_pdf(x)
+    return p, ndtr(x), -p
+
+
 def _split_sqrt(x, lam):
     """sqrt helpers for the 1-dof noncentral chi-squared kernels.
 
@@ -74,39 +81,30 @@ def _split_sqrt(x, lam):
     return pos, finite, xs, xs - sl, -xs - sl
 
 
-def ncx2_pdf(x, lam):
-    """Density of the noncentral chi-squared law with 1 dof.
+def ncx2_fFM(x, lam):
+    """Fused (pdf, cdf, M1) of the noncentral chi-squared law with 1 dof.
 
-    f(x) = (phi(sqrt(x) - sqrt(lam)) + phi(-sqrt(x) - sqrt(lam))) / (2 sqrt(x))
-    on x > 0, with the boundary convention f(0) = 0 and f(inf) = 0.
+    With x+- = +-sqrt(x) - sqrt(lam):
+
+        f(x)  = (phi(x+) + phi(x-)) / (2 sqrt(x))
+        F(x)  = Phi(x+) - Phi(x-)
+        M1(x) = (1 + lam) F(x) + phi(x+) x- - phi(x-) x+
+
+    on x > 0; all are 0 for x <= 0, and (0, 1, 1 + lam) at x = inf.
     ``lam`` broadcasts against ``x`` (e.g. one noncentrality per row).
     """
-    pos, finite, xs, xp, xm = _split_sqrt(x, lam)
-    val = (norm_pdf(xp) + norm_pdf(xm)) / (2.0 * xs)
-    return np.where(pos & finite, val, 0.0)
-
-
-def ncx2_cdf(x, lam):
-    """Distribution function of the 1-dof noncentral chi-squared law.
-
-    F(x) = Phi(sqrt(x) - sqrt(lam)) - Phi(-sqrt(x) - sqrt(lam)); 0 for
-    x <= 0 and 1 at x = inf.
-    """
-    pos, finite, _, xp, xm = _split_sqrt(x, lam)
-    val = ndtr(xp) - ndtr(xm)
-    return np.where(pos, np.where(finite, val, 1.0), 0.0)
-
-
-def ncx2_m1(x, lam):
-    """First lower partial expectation of the 1-dof noncentral chi-squared.
-
-    M1(x) = (1 + lam) * (Phi(x+) - Phi(x-)) + phi(x+) x- - phi(x-) x+
-    with x+- = +-sqrt(x) - sqrt(lam).  Limits: M1(0) = 0, M1(inf) = 1 + lam.
-    """
     lam = np.asarray(lam, dtype=float)
-    pos, finite, _, xp, xm = _split_sqrt(x, lam)
-    val = (1.0 + lam) * (ndtr(xp) - ndtr(xm)) + norm_pdf(xp) * xm - norm_pdf(xm) * xp
-    return np.where(pos, np.where(finite, val, 1.0 + lam), 0.0)
+    pos, finite, xs, xp, xm = _split_sqrt(x, lam)
+    Pp, Pm = ndtr(xp), ndtr(xm)
+    pp, pm = norm_pdf(xp), norm_pdf(xm)
+    f = np.where(pos & finite, (pp + pm) / (2.0 * xs), 0.0)
+    F = np.where(pos, np.where(finite, Pp - Pm, 1.0), 0.0)
+    M1 = np.where(
+        pos,
+        np.where(finite, (1.0 + lam) * (Pp - Pm) + pp * xm - pm * xp, 1.0 + lam),
+        0.0,
+    )
+    return f, F, M1
 
 
 def _phi_poly_ints(z):
@@ -139,6 +137,33 @@ def ncx2_m2(x, lam):
     full = lam * lam + 6.0 * lam + 3.0
     out = np.where(pos, np.where(finite, val, full), 0.0)
     return out
+
+
+def reflect_fFM(law, x, xbar):
+    """Fold the (f, F, M1) triple that ``law`` maps ``x`` to about ``xbar``:
+
+        f~(x)  = f(x) + f(2 xbar - x)
+        F~(x)  = F(x) - F(2 xbar - x)
+        M1~(x) = M1(x) + M1(2 xbar - x) - 2 xbar F(2 xbar - x)
+
+    ``xbar`` broadcasts against ``x``.  M1~ drops per-law constants, which
+    cancel in the differences of M1 that quantization consumes.
+    """
+    x = np.asarray(x, dtype=float)
+    f1, F1, M1 = law(x)
+    f2, F2, M2 = law(2.0 * xbar - x)
+    return f1 + f2, F1 - F2, M1 + M2 - 2.0 * xbar * F2
+
+
+def reflect_m2(m2, law, x, xbar):
+    """Fold of the second lower partial expectation, constants dropped:
+
+        M2~(x) = M2(x) - M2(x') + 4 xbar M1(x') - 4 xbar^2 F(x'),  x' = 2 xbar - x
+    """
+    x = np.asarray(x, dtype=float)
+    xr = 2.0 * xbar - x
+    _, Fr, M1r = law(xr)
+    return m2(x) - m2(xr) + 4.0 * xbar * M1r - 4.0 * xbar * xbar * Fr
 
 
 @dataclass(frozen=True)
@@ -184,9 +209,9 @@ def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
     """
     lam = float(params.lam)
     return ScalarDistribution(
-        pdf=lambda x: ncx2_pdf(x, lam),
-        cdf=lambda x: ncx2_cdf(x, lam),
-        m1=lambda x: ncx2_m1(x, lam),
+        pdf=lambda x: ncx2_fFM(x, lam)[0],
+        cdf=lambda x: ncx2_fFM(x, lam)[1],
+        m1=lambda x: ncx2_fFM(x, lam)[2],
         m2=lambda x: ncx2_m2(x, lam),
         support=(0.0, np.inf),
     )
@@ -195,45 +220,30 @@ def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
 def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
     """Fold the mass of ``base`` below ``xbar`` back onto [xbar, inf).
 
-    The reflected functions are
-
-        f~(x)  = f(x) + f(2 xbar - x)
-        F~(x)  = F(x) - F(2 xbar - x)
-        M1~(x) = M1(x) + M1(2 xbar - x) - 2 xbar F(2 xbar - x)
-
-    The M1~ form drops per-distribution constants: quantization consumes
-    only differences of M1, so the constants cancel and are omitted.  The
-    same reduction applies to the optional M2~.  Inputs below xbar are
-    clamped to xbar, so differences across the boundary vanish.
+    The functions are those of :func:`reflect_fFM` and :func:`reflect_m2`.
+    Inputs below xbar are clamped to xbar, so differences across the
+    boundary vanish; the density is 0 there.
     """
     hi = base.support[1]
     if not xbar < hi:
         raise ValueError("reflection point must lie below the support's upper end")
     xb = float(xbar)
 
+    def law(x):
+        return base.pdf(x), base.cdf(x), base.m1(x)
+
     def _clamp(x):
         return np.maximum(np.asarray(x, dtype=float), xb)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        val = base.pdf(x) + base.pdf(2.0 * xb - x)
-        return np.where(x >= xb, val, 0.0)
+        return np.where(x >= xb, reflect_fFM(law, x, xb)[0], 0.0)
 
-    def cdf(x):
-        x = _clamp(x)
-        return base.cdf(x) - base.cdf(2.0 * xb - x)
-
-    def m1(x):
-        x = _clamp(x)
-        xr = 2.0 * xb - x
-        return base.m1(x) + base.m1(xr) - 2.0 * xb * base.cdf(xr)
-
-    m2 = None
-    if base.m2 is not None:
-        def m2(x):
-            x = _clamp(x)
-            xr = 2.0 * xb - x
-            return (base.m2(x) - base.m2(xr)
-                    + 4.0 * xb * base.m1(xr) - 4.0 * xb * xb * base.cdf(xr))
-
-    return ScalarDistribution(pdf=pdf, cdf=cdf, m1=m1, m2=m2, support=(xb, hi))
+    return ScalarDistribution(
+        pdf=pdf,
+        cdf=lambda x: reflect_fFM(law, _clamp(x), xb)[1],
+        m1=lambda x: reflect_fFM(law, _clamp(x), xb)[2],
+        m2=None if base.m2 is None
+        else lambda x: reflect_m2(base.m2, law, _clamp(x), xb),
+        support=(xb, hi),
+    )

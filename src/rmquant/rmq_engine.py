@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _fast
-from ._newton import StepEval, damped_newton
-from .affine_schemes import SCHEME_BUILDERS, UpdateBatch, as_batch
+from ._newton import damped_newton, step_eval, voronoi_edges
+from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
 from .sde_models import SdeModel
-from .vq1d import Quantizer, RegionBounds, initial_guess
+from .vq1d import Quantizer, checked_grid, initial_guess
 
 FREE = "free"
 ABSORBING = "absorbing"
@@ -42,6 +41,8 @@ REFLECTING = "reflecting"
 BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 
 PROB_FLOOR = 1e-14  # previous-step components below this are skipped
+ROW_SUM_TOL = 1e-12  # loaded transition rows may exceed mass 1 by this
+MARKOV_TOL = 1e-10  # loaded |p_k P_k - p_{k+1}| may not exceed this
 
 GRID_SCHEMA = "rmquant.grid.v1"
 SEQUENCE_SCHEMA = "rmquant.sequence.v1"
@@ -99,8 +100,7 @@ class Schedule:
         return self.n_per_step[k - 1]
 
 
-@dataclass(frozen=True)
-class TransitionSet:
+class TransitionSet(NamedTuple):
     """Transition, partial-moment and boundary-density matrices."""
 
     P: np.ndarray   # (N_k, N_next) transition probabilities
@@ -121,63 +121,31 @@ def _require_positive_scale(batch: UpdateBatch, boundary: str):
         )
 
 
-def normalized_bounds(update, bounds: RegionBounds, truncate_at_zero: bool = False):
-    """Map state-space region bounds into the innovation's coordinates.
-
-    Returns ``(lowers, uppers)`` images of the state bounds under
-    z = (r - c) / m, keeping the state-space association: for m < 0 the
-    images swap order and consumers must flip the inequality direction.
-    With ``truncate_at_zero`` the first lower bound is replaced by the
-    image of state zero, -c / m.
-    """
-    if update.m == 0.0:
-        raise ValueError("normalized bounds need m != 0 (degenerate updates "
-                         "are handled by the scheme fallback)")
-    lowers = (bounds.lowers - update.c) / update.m
-    uppers = (bounds.uppers - update.c) / update.m
-    if truncate_at_zero:
-        lowers = lowers.copy()
-        lowers[0] = -update.c / update.m
-    return lowers, uppers
+def _support(boundary: str):
+    return (-np.inf if boundary == FREE else 0.0, np.inf)
 
 
-def _state_edges(next_codewords: np.ndarray, truncated: bool) -> np.ndarray:
-    edges = np.empty(next_codewords.size + 1)
-    edges[0] = 0.0 if truncated else -np.inf
-    edges[-1] = np.inf
-    edges[1:-1] = 0.5 * (next_codewords[:-1] + next_codewords[1:])
-    return edges
-
-
-def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray, boundary: str):
-    """P, M and inner-density matrices for one candidate next grid."""
-    edges = _state_edges(next_codewords, boundary != FREE)
-    if _fast.HAVE_NUMBA:
-        return _fast.transition_blocks(
-            edges, batch.c, batch.m, batch.lam, batch.is_ncx2,
-            boundary == REFLECTING)
+def _normalized_edges(batch: UpdateBatch, gam: np.ndarray, boundary: str):
+    """Region boundaries of ``gam`` in each row's innovation coordinates,
+    and the rows' reflection points (None unless reflecting)."""
+    edges = voronoi_edges(gam, *_support(boundary))
     z = (edges[None, :] - batch.c[:, None]) / batch.m[:, None]
     xbar = -batch.c / batch.m if boundary == REFLECTING else None
-    f, F, M1 = batch.law_fFM(z, xbar)
+    return z, xbar
+
+
+def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
+                boundary: str) -> TransitionSet:
+    """P, M and inner-density matrices for one candidate next grid."""
+    f, F, M1 = batch.law_fFM(*_normalized_edges(batch, next_codewords,
+                                                 boundary))
     sgn = np.sign(batch.m)[:, None]
     P = np.maximum(sgn * (F[:, 1:] - F[:, :-1]), 0.0)
     M = M1[:, 1:] - M1[:, :-1]
-    return P, M, f[:, 1:-1]
+    return TransitionSet(P=P, M=M, f=f[:, 1:-1])
 
 
-def _validate_next_grid(next_codewords, boundary: str) -> np.ndarray:
-    gam = np.asarray(next_codewords, dtype=float)
-    if gam.ndim != 1 or gam.size == 0:
-        raise ValueError("next grid must be a nonempty 1-d vector")
-    if np.any(np.diff(gam) <= 0.0):
-        raise ValueError("next grid must be strictly increasing")
-    if boundary != FREE and gam[0] <= 0.0:
-        raise ValueError("next grid must be strictly positive under "
-                         "absorbing/reflecting boundaries")
-    return gam
-
-
-def transition_set(prev: Quantizer, updates, next_codewords,
+def transition_set(prev: Quantizer, batch: UpdateBatch, next_codewords,
                    boundary: str = FREE) -> TransitionSet:
     """Transition matrices from ``prev`` onto the grid ``next_codewords``.
 
@@ -186,20 +154,11 @@ def transition_set(prev: Quantizer, updates, next_codewords,
     sums to one minus the mass absorbed at zero from state i.
     """
     _validate_boundary(boundary)
-    batch = as_batch(updates)
     if batch.size != prev.size:
         raise ValueError("updates must align with the previous quantizer")
     _require_positive_scale(batch, boundary)
-    gam = _validate_next_grid(next_codewords, boundary)
-    P, M, f = _z_matrices(batch, gam, boundary)
-    return TransitionSet(P=P, M=M, f=f)
-
-
-@dataclass
-class _StepMatrices:
-    P: np.ndarray
-    M: np.ndarray
-    f: np.ndarray
+    gam = checked_grid(next_codewords, _support(boundary))
+    return _z_matrices(batch, gam, boundary)
 
 
 def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
@@ -210,91 +169,50 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     p_m = pw * absm
     p_f = pw / absm
 
-    def evaluate(gam: np.ndarray) -> StepEval:
-        P, M, f = _z_matrices(batch, gam, boundary)
-        pP = pw @ P
-        cP = p_c @ P
-        mM = p_m @ M
-        grad = 2.0 * (gam * pP - cP - mM)
-        off = -0.5 * (p_f @ f) * np.diff(gam)
-        diag = 2.0 * pP
-        diag[:-1] += off
-        diag[1:] += off
-        mom = cP + mM
-        occupied = pP > 1e-300
-        cent = np.where(occupied, mom / np.where(occupied, pP, 1.0), gam)
-        return StepEval(grad=grad, hess_diag=diag, hess_off=off, centroids=cent,
-                        aux=_StepMatrices(P, M, f))
+    def evaluate(gam: np.ndarray):
+        ts = _z_matrices(batch, gam, boundary)
+        return step_eval(gam, pw @ ts.P, p_c @ ts.P, p_m @ ts.M, p_f @ ts.f,
+                         aux=ts)
 
     return evaluate
 
 
-def rmq_newton_step(next_codewords, prev: Quantizer, updates,
-                    boundary: str = FREE) -> np.ndarray:
-    """One safeguarded Newton step on the mixture distortion.
-
-    Returns the updated (still strictly increasing) grid; at a stationary
-    grid the output equals the input.
-    """
-    _validate_boundary(boundary)
-    batch = as_batch(updates)
-    _require_positive_scale(batch, boundary)
-    gam = _validate_next_grid(next_codewords, boundary)
-    evaluate = _mixture_evaluator(prev.probabilities, batch, boundary)
-    out, _ = damped_newton(gam, evaluate, 1,
-                           lo=0.0 if boundary != FREE else None)
-    return out
-
-
-def mixture_distortion(next_codewords, prev: Quantizer, updates,
+def mixture_distortion(next_codewords, prev: Quantizer, batch: UpdateBatch,
                        boundary: str = FREE) -> float:
     """Distortion of the grid under the conditional mixture (diagnostic)."""
     _validate_boundary(boundary)
-    batch = as_batch(updates)
-    gam = _validate_next_grid(next_codewords, boundary)
-    edges = _state_edges(gam, boundary != FREE)
-    z = (edges[None, :] - batch.c[:, None]) / batch.m[:, None]
-    xbar = -batch.c / batch.m if boundary == REFLECTING else None
-    _, F, M1 = batch.law_fFM(z, xbar)
-    M2 = batch.law_m2(z, xbar)
-    sgn = np.sign(batch.m)[:, None]
-    P = sgn * (F[:, 1:] - F[:, :-1])
-    M = M1[:, 1:] - M1[:, :-1]
-    dM2 = sgn * (M2[:, 1:] - M2[:, :-1])
+    gam = checked_grid(next_codewords, _support(boundary))
+    P, M, _ = _z_matrices(batch, gam, boundary)
+    M2 = batch.law_m2(*_normalized_edges(batch, gam, boundary))
+    dM2 = np.sign(batch.m)[:, None] * (M2[:, 1:] - M2[:, :-1])
     gc = gam[None, :] - batch.c[:, None]
     absm = np.abs(batch.m)[:, None]
     comp = gc * gc * P - 2.0 * gc * absm * M + (absm * absm) * dM2
     return float(prev.probabilities @ comp.sum(axis=1))
 
 
-def implied_marginal_cdf(x, prev: Quantizer, updates, boundary: str = FREE,
-                         zero_mass: float = 0.0):
+def implied_marginal_cdf(x, prev: Quantizer, batch: UpdateBatch,
+                         boundary: str = FREE, zero_mass: float = 0.0):
     """Distribution function of the one-step mixture implied by ``prev``.
 
     F(x) = sum_i p_i [ H(-m_i) + sgn(m_i) F_i((x - c_i) / m_i) ] in free
     mode.  Under ``absorbing`` the result includes the atom at zero of
     size ``zero_mass`` plus the newly absorbed mass; under ``reflecting``
-    each component law is reflected.  Vectorized over ``x``.
+    each component law is reflected (and ``zero_mass`` is 0).  Vectorized
+    over ``x``.
     """
     _validate_boundary(boundary)
-    batch = as_batch(updates)
     _require_positive_scale(batch, boundary)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     z = (xs[None, :] - batch.c[:, None]) / batch.m[:, None]
     p = prev.probabilities
+    _, F, _ = batch.law_fFM(z, -batch.c / batch.m if boundary == REFLECTING
+                            else None)
     if boundary == FREE:
-        _, F, _ = batch.law_fFM(z)
         heavi = (batch.m < 0.0).astype(float)[:, None]
-        sgn = np.sign(batch.m)[:, None]
-        out = p @ (heavi + sgn * F)
-    elif boundary == ABSORBING:
-        _, F, _ = batch.law_fFM(z)
-        out = zero_mass + p @ F
-        out = np.where(xs < 0.0, 0.0, out)
+        out = p @ (heavi + np.sign(batch.m)[:, None] * F)
     else:
-        _, F, _ = batch.law_fFM(z, -batch.c / batch.m)
-        out = p @ F
-        out = np.where(xs < 0.0, 0.0, out)
+        out = np.where(xs < 0.0, 0.0, zero_mass + p @ F)
     out = np.clip(out, 0.0, 1.0)
     return out if np.ndim(x) else float(out[0])
 
@@ -392,18 +310,47 @@ class QuantizationSequence:
         if doc.get("schema") != SEQUENCE_SCHEMA:
             raise ValueError(f"unsupported sequence schema {doc.get('schema')!r}")
         zs = doc.get("zero_state_mass")
+        codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
+        probabilities = [np.asarray(s["probabilities"], dtype=float)
+                         for s in doc["steps"]]
+        transitions = [np.asarray(P, dtype=float) for P in doc["transitions"]]
+        _check_chain(codewords, probabilities, transitions)
         return cls(
             scheme=doc["scheme"],
             boundary=doc["boundary"],
             model_kind=doc["model"],
             s0=doc["s0"],
             horizon=doc["horizon"],
-            codewords=[np.asarray(s["codewords"], dtype=float) for s in doc["steps"]],
-            probabilities=[np.asarray(s["probabilities"], dtype=float)
-                           for s in doc["steps"]],
-            transitions=[np.asarray(P, dtype=float) for P in doc["transitions"]],
+            codewords=codewords,
+            probabilities=probabilities,
+            transitions=transitions,
             zero_state_mass=None if zs is None else np.asarray(zs, dtype=float),
         )
+
+
+def _check_chain(codewords, probabilities, transitions):
+    """Raise ValueError unless the arrays form a consistent Markov chain."""
+    def need(ok, what):
+        if not ok:
+            raise ValueError(f"inconsistent sequence: {what}")
+
+    need(codewords and len(transitions) == len(codewords) - 1,
+         f"{len(codewords)} grids but {len(transitions)} transition matrices")
+    for k, (cw, p) in enumerate(zip(codewords, probabilities), start=1):
+        need(cw.ndim == 1 and cw.size > 0 and p.shape == cw.shape,
+             f"step {k} codewords and probabilities are not aligned vectors")
+        need(np.all(np.isfinite(cw)) and np.all(np.diff(cw) > 0.0),
+             f"step {k} codewords are not strictly increasing")
+        need(np.all(p >= 0.0) and p.sum() <= 1.0 + MARKOV_TOL,
+             f"step {k} probabilities are negative or exceed mass 1")
+    for k, P in enumerate(transitions, start=1):
+        need(P.shape == (codewords[k - 1].size, codewords[k].size),
+             f"transition {k} has shape {P.shape}")
+        need(np.all(P >= 0.0) and np.all(P.sum(axis=1) <= 1.0 + ROW_SUM_TOL),
+             f"transition {k} has negative entries or row sums above 1")
+        drift = np.max(np.abs(probabilities[k - 1] @ P - probabilities[k]))
+        need(drift <= MARKOV_TOL,
+             f"step {k + 1} probabilities differ from p_{k} P_{k} by {drift:.3g}")
 
 
 def load_sequence_json(fh: IO[str]) -> QuantizationSequence:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import StepEval, damped_newton
+from ._newton import StepEval, damped_newton, step_eval, voronoi_edges
 from .distributions import ScalarDistribution
 
 
@@ -76,13 +76,17 @@ def region_boundaries(codewords, support=(-np.inf, np.inf)) -> RegionBounds:
     lo, hi = support
     if not (gam[0] > lo and gam[-1] < hi):
         raise ValueError("codewords must lie strictly inside the support")
-    edges = np.empty(gam.size + 1)
-    edges[0] = lo
-    edges[-1] = hi
-    edges[1:-1] = 0.5 * (gam[:-1] + gam[1:])
+    edges = voronoi_edges(gam, lo, hi)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("codewords are too close: region boundaries collapse")
     return RegionBounds(lowers=edges[:-1], uppers=edges[1:])
+
+
+def checked_grid(codewords, support) -> np.ndarray:
+    """``codewords`` as a float array, validated by :func:`region_boundaries`."""
+    gam = np.asarray(codewords, dtype=float)
+    region_boundaries(gam, support)
+    return gam
 
 
 def _edge_diffs(dist: ScalarDistribution, edges: np.ndarray):
@@ -109,42 +113,19 @@ def distortion(dist: ScalarDistribution, codewords) -> float:
 
 def distortion_gradient(dist: ScalarDistribution, codewords) -> np.ndarray:
     """Gradient of the distortion with respect to each codeword."""
-    gam = np.asarray(codewords, dtype=float)
-    edges = region_boundaries(gam, dist.support).edges
-    dF, dM1, _ = _edge_diffs(dist, edges)
-    return 2.0 * gam * dF - 2.0 * dM1
+    return _evaluate(dist, checked_grid(codewords, dist.support)).grad
 
 
 def distortion_hessian(dist: ScalarDistribution, codewords) -> np.ndarray:
     """Dense symmetric tridiagonal Hessian of the distortion."""
-    gam = np.asarray(codewords, dtype=float)
-    edges = region_boundaries(gam, dist.support).edges
-    dF, _, f_inner = _edge_diffs(dist, edges)
-    off = 0.5 * f_inner * (gam[:-1] - gam[1:])
-    diag = 2.0 * dF
-    diag[:-1] += off
-    diag[1:] += off
-    hess = np.diag(diag)
-    idx = np.arange(gam.size - 1)
-    hess[idx, idx + 1] = off
-    hess[idx + 1, idx] = off
-    return hess
+    ev = _evaluate(dist, checked_grid(codewords, dist.support))
+    off = ev.hess_off
+    return np.diag(ev.hess_diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _evaluate(dist: ScalarDistribution, gam: np.ndarray) -> StepEval:
-    edges = np.empty(gam.size + 1)
-    edges[0], edges[-1] = dist.support
-    edges[1:-1] = 0.5 * (gam[:-1] + gam[1:])
-    dF, dM1, f_inner = _edge_diffs(dist, edges)
-    grad = 2.0 * gam * dF - 2.0 * dM1
-    off = 0.5 * f_inner * (gam[:-1] - gam[1:])
-    diag = 2.0 * dF
-    diag[:-1] += off
-    diag[1:] += off
-    occupied = dF > 1e-300
-    cent = np.where(occupied, dM1 / np.where(occupied, dF, 1.0), gam)
-    return StepEval(grad=grad, hess_diag=diag, hess_off=off,
-                    centroids=cent, aux=dF)
+    dF, dM1, f_inner = _edge_diffs(dist, voronoi_edges(gam, *dist.support))
+    return step_eval(gam, dF, 0.0, dM1, f_inner, aux=dF)
 
 
 def newton_quantize(dist: ScalarDistribution, gamma0, n_max: int) -> Quantizer:
@@ -156,8 +137,7 @@ def newton_quantize(dist: ScalarDistribution, gamma0, n_max: int) -> Quantizer:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    gam = np.asarray(gamma0, dtype=float)
-    region_boundaries(gam, dist.support)  # validates the start grid
+    gam = checked_grid(gamma0, dist.support)
     lo, hi = dist.support
     gam, ev = damped_newton(
         gam, lambda g: _evaluate(dist, g), n_max,

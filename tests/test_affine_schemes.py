@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmquant import (InnovationLaw, SdeModel, euler_update, milstein_update,
-                     weak2_update)
-from rmquant.affine_schemes import (GAUSSIAN, NCX2, UpdateBatch, as_batch,
-                                    milstein_updates, weak2_updates)
+from scipy import stats
+from scipy.integrate import quad
+
+from rmquant import SdeModel, euler_update, milstein_update, weak2_update
+from rmquant.affine_schemes import (GAUSSIAN, NCX2, UpdateBatch,
+                                    milstein_updates)
 
 from conftest import GBM
 
@@ -46,7 +48,7 @@ class TestEuler:
         u = euler_update(gbm, 100.0, DT)
         assert u.m == pytest.approx(EULER_M, rel=1e-14)
         assert u.c == pytest.approx(EULER_C, rel=1e-14)
-        assert u.law.kind == GAUSSIAN
+        assert u.kind == GAUSSIAN
         assert not u.fallback
 
     def test_vanishing_step(self, gbm):
@@ -72,8 +74,8 @@ class TestMilstein:
         u = milstein_update(gbm, 100.0, DT)
         assert u.m == pytest.approx(0.375, rel=1e-14)
         assert u.c == pytest.approx(50.0 + 0.5 / 12.0, rel=1e-13)
-        assert u.law.kind == NCX2
-        assert u.law.lam == pytest.approx(MILSTEIN_LAM, rel=1e-13)
+        assert u.kind == NCX2
+        assert u.lam == pytest.approx(MILSTEIN_LAM, rel=1e-13)
         assert u.mean() == pytest.approx(EULER_C, rel=1e-13)
 
     @settings(max_examples=80, deadline=None)
@@ -96,7 +98,7 @@ class TestWeak2:
     def test_gbm_example(self, gbm):
         u = weak2_update(gbm, 100.0, DT)
         assert u.m == pytest.approx(0.375, rel=1e-14)
-        assert u.law.lam == pytest.approx(WEAK2_LAM, rel=1e-13)
+        assert u.lam == pytest.approx(WEAK2_LAM, rel=1e-13)
         assert u.mean() == pytest.approx(WEAK2_MEAN, rel=1e-13)
 
     def test_shares_scale_with_milstein(self, gbm, cev):
@@ -163,7 +165,7 @@ class TestFallback:
         u = builder(model, 5.0, DT)
         e = euler_update(model, 5.0, DT)
         assert u.fallback
-        assert u.law.kind == GAUSSIAN
+        assert u.kind == GAUSSIAN
         assert u.m == e.m and u.c == e.c
 
     def test_partial_fallback_rows(self, gbm):
@@ -174,40 +176,72 @@ class TestFallback:
         assert not np.any(healthy.fallback)
 
 
-class TestBatchPlumbing:
-    def test_round_trip(self, gbm):
-        batch = weak2_updates(gbm, np.array([50.0, 100.0, 150.0]), DT)
-        again = as_batch(batch.to_updates())
-        assert np.allclose(again.m, batch.m, rtol=0, atol=0)
-        assert np.allclose(again.c, batch.c, rtol=0, atol=0)
-        assert np.allclose(again.lam, batch.lam, rtol=0, atol=0)
-        assert np.array_equal(again.is_ncx2, batch.is_ncx2)
+def mixed_law_matrix(rng, n_rows=10, n_cols=9):
+    """Sorted rows of innovation arguments for a batch mixing Gaussian and
+    ncx2 rows, with -inf, 0 and +inf entries."""
+    is_ncx2 = np.arange(n_rows) % 3 != 0
+    lam = np.where(is_ncx2, np.geomspace(0.05, 80.0, n_rows), 0.0)
+    z = np.empty((n_rows, n_cols))
+    for i in range(n_rows):
+        if is_ncx2[i]:
+            hi = lam[i] + 8.0 * np.sqrt(2.0 + 4.0 * lam[i])
+            z[i] = np.sort(hi * rng.random(n_cols) ** 2 - 0.5)
+        else:
+            z[i] = np.sort(rng.normal(0.0, 2.0, n_cols))
+    z[:, 0] = -np.inf
+    z[:, -1] = np.inf
+    z[1::2, 1] = 0.0
+    z.sort(axis=1)
+    batch = UpdateBatch(np.ones(n_rows), np.zeros(n_rows), lam, is_ncx2,
+                        ~is_ncx2)
+    return batch, z
 
-    def test_law_validation(self):
-        with pytest.raises(ValueError):
-            InnovationLaw("poisson")
-        with pytest.raises(ValueError):
-            InnovationLaw(NCX2, lam=-1.0)
 
-    def test_fast_kernels_match_reference(self, gbm):
-        # the numba-fused evaluation must agree with the numpy formulas
+def reference_law(is_ncx2, lam):
+    """scipy pdf and cdf of one row's innovation.  The 1-dof ncx2 density
+    is taken as 0 at 0 (where it is infinite) and at +inf, as in rmquant."""
+    if not is_ncx2:
+        return stats.norm.pdf, stats.norm.cdf
+    law = stats.ncx2(df=1, nc=lam)
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        live = np.isfinite(x) & (x > 0.0)
+        return np.where(live, law.pdf(np.where(live, x, 1.0)), 0.0)
+    return pdf, law.cdf
+
+
+class TestLawKernel:
+    """UpdateBatch.law_fFM against scipy.stats and numerical integration."""
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_law_fFM_matches_scipy_references(self, reflect):
         rng = np.random.default_rng(17)
-        z = rng.normal(0.0, 40.0, (12, 9))
-        z[0, 0] = -np.inf
-        z[1, 1] = np.inf
-        z[2, 2] = 0.0
-        for is_ncx2 in (np.zeros(12, bool), np.ones(12, bool)):
-            lam = np.where(is_ncx2, rng.uniform(0.0, 250.0, 12), 0.0)
-            batch = UpdateBatch(np.ones(12), np.zeros(12), lam, is_ncx2,
-                                ~is_ncx2)
-            for xbar in (None, rng.uniform(-4.0, 4.0, 12)):
-                fast = batch.law_fFM(z, xbar)
-                if xbar is None:
-                    ref = batch._base_fFM(z)
-                else:
-                    xb = xbar[:, None]
-                    f1, F1, M1 = batch._base_fFM(z)
-                    f2, F2, M2 = batch._base_fFM(2.0 * xb - z)
-                    ref = (f1 + f2, F1 - F2, M1 + M2 - 2.0 * xb * F2)
-                for got, want in zip(fast, ref):
-                    assert np.max(np.abs(got - want)) < 1e-13
+        batch, z = mixed_law_matrix(rng)
+        xbar = rng.uniform(-1.0, 2.0, batch.size) if reflect else None
+        f, F, M1 = batch.law_fFM(z, xbar)
+        assert f.shape == F.shape == M1.shape == z.shape
+        for i in range(batch.size):
+            pdf, cdf = reference_law(batch.is_ncx2[i], batch.lam[i])
+            zi = z[i]
+            if reflect:
+                zr = 2.0 * xbar[i] - zi
+                want_f = pdf(zi) + pdf(zr)
+                want_F = cdf(zi) - cdf(zr)
+
+                def density(t, pdf=pdf, xb=xbar[i]):
+                    return pdf(t) + pdf(2.0 * xb - t)
+            else:
+                want_f, want_F, density = pdf(zi), cdf(zi), pdf
+            np.testing.assert_allclose(f[i], want_f, rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(F[i], want_F, rtol=0.0, atol=1e-13)
+            # M1 is a lower partial expectation: its increments between
+            # consecutive arguments integrate t times the density.
+            # Split at the kinks of the 1-dof density (0 and its mirror).
+            kinks = [0.0, 2.0 * xbar[i]] if reflect else [0.0]
+            for a, b, got in zip(zi[:-1], zi[1:], np.diff(M1[i])):
+                cuts = [a] + sorted(k for k in kinks if a < k < b) + [b]
+                want = sum(quad(lambda t: t * density(t), lo, hi,
+                                epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+                           for lo, hi in zip(cuts[:-1], cuts[1:]))
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-10)

@@ -171,8 +171,7 @@ def test_oracles_do_not_share_engine_kernels():
 
     import rmquant.oracles as mod
     src = inspect.getsource(mod)
-    for forbidden in ("rmq_engine", "vq1d", "affine_schemes", "_newton",
-                      "_fast"):
+    for forbidden in ("rmq_engine", "vq1d", "affine_schemes", "_newton"):
         assert forbidden not in src
 
 

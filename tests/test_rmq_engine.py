@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rmquant import (AffineUpdate, CodewordDomainError, InnovationLaw,
-                     Schedule, european_price, implied_marginal_cdf,
-                     load_sequence_json, mixture_distortion, normalized_bounds,
-                     rmq_newton_step, rmq_run, transition_set)
+from rmquant import (CodewordDomainError, Schedule, UpdateBatch,
+                     european_price, implied_marginal_cdf, load_sequence_json,
+                     mixture_distortion, rmq_run, transition_set)
+from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
 from rmquant.rmq_engine import _mixture_evaluator
 from rmquant.vq1d import (Quantizer, distortion_gradient, distortion_hessian,
-                          newton_quantize, region_boundaries)
+                          newton_quantize)
 from rmquant.distributions import ScalarDistribution, norm_cdf, norm_m1, norm_pdf
 
 from conftest import CEV_LOW_ALPHA
@@ -21,11 +21,17 @@ GBM_MEAN_1Y = 105.12710963760241
 PAPER_SCHEDULE = Schedule(T=1.0, K=12, n_per_step=200, n_max_vq=50, n_max_rmq=5)
 
 
+def batch(*rows):
+    """UpdateBatch of (m, c) Gaussian rows and (m, c, lam) ncx2 rows."""
+    return UpdateBatch(m=[r[0] for r in rows], c=[r[1] for r in rows],
+                       lam=[r[2] if len(r) > 2 else 0.0 for r in rows],
+                       is_ncx2=[len(r) > 2 for r in rows],
+                       fallback=[False] * len(rows))
+
+
 def small_mixture():
     prev = Quantizer(np.array([0.8, 1.1, 1.6]), np.array([0.3, 0.5, 0.2]))
-    updates = [AffineUpdate(m=0.21, c=0.9, law=InnovationLaw("ncx2", 3.0)),
-               AffineUpdate(m=-0.4, c=1.3, law=InnovationLaw("gaussian")),
-               AffineUpdate(m=0.35, c=1.7, law=InnovationLaw("ncx2", 40.0))]
+    updates = batch((0.21, 0.9, 3.0), (-0.4, 1.3), (0.35, 1.7, 40.0))
     gam = np.array([0.5, 1.0, 1.8, 2.6])
     return prev, updates, gam
 
@@ -47,38 +53,10 @@ class TestSchedule:
             Schedule(T=1.0, K=2, n_max_rmq=0)
 
 
-class TestNormalizedBounds:
-    def test_affine_rescaling(self):
-        rb = region_boundaries([11.0, 13.0])
-        lo, up = normalized_bounds(AffineUpdate(2.0, 10.0, InnovationLaw("gaussian")), rb)
-        assert np.array_equal(lo, [-np.inf, 1.0])
-        assert np.array_equal(up, [1.0, np.inf])
-
-    def test_negative_scale_swaps_roles(self):
-        rb = region_boundaries([11.0, 13.0])
-        lo, up = normalized_bounds(AffineUpdate(-2.0, 10.0, InnovationLaw("gaussian")), rb)
-        # image of the shared state bound 12 is -1; ordering flips
-        assert lo[1] == pytest.approx(-1.0)
-        assert up[0] == pytest.approx(-1.0)
-        assert lo[1] > up[1]
-
-    def test_zero_truncation(self):
-        rb = region_boundaries([11.0, 13.0])
-        u = AffineUpdate(2.0, 10.0, InnovationLaw("gaussian"))
-        lo, _ = normalized_bounds(u, rb, truncate_at_zero=True)
-        assert lo[0] == pytest.approx(-5.0)  # -c/m
-
-    def test_rejects_degenerate_scale(self):
-        rb = region_boundaries([1.0])
-        with pytest.raises(ValueError):
-            normalized_bounds(AffineUpdate(0.0, 1.0, InnovationLaw("gaussian")), rb)
-
-
 class TestImpliedMarginalCdf:
     def test_single_gaussian_component_median(self):
         prev = Quantizer(np.array([100.0]), np.array([1.0]))
-        ups = [AffineUpdate(8.660254037844386, 100.41666666666667,
-                            InnovationLaw("gaussian"))]
+        ups = batch((8.660254037844386, 100.41666666666667))
         assert implied_marginal_cdf(100.41666666666667, prev, ups) == \
             pytest.approx(0.5, abs=1e-14)
         assert implied_marginal_cdf(np.inf, prev, ups) == 1.0
@@ -107,15 +85,14 @@ class TestTransitionSet:
     def test_absorbing_row_mass(self):
         # absorbed mass from a gaussian update with c = m = 1 is Phi(-1)
         prev = Quantizer(np.array([1.0]), np.array([1.0]))
-        ups = [AffineUpdate(1.0, 1.0, InnovationLaw("gaussian"))]
+        ups = batch((1.0, 1.0))
         ts = transition_set(prev, ups, np.array([0.5, 1.5]), "absorbing")
         assert ts.P.sum() == pytest.approx(1.0 - ndtr(-1.0), abs=1e-12)
         assert ts.P.sum() == pytest.approx(0.8413447460685429, abs=1e-10)
 
     def test_reflecting_rows_sum_to_one(self):
         prev = Quantizer(np.array([0.5, 1.0]), np.array([0.4, 0.6]))
-        ups = [AffineUpdate(0.8, 0.4, InnovationLaw("gaussian")),
-               AffineUpdate(0.3, 1.1, InnovationLaw("ncx2", 5.0))]
+        ups = batch((0.8, 0.4), (0.3, 1.1, 5.0))
         ts = transition_set(prev, ups, np.array([0.3, 0.9, 2.0]), "reflecting")
         assert ts.P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-10)
 
@@ -124,7 +101,7 @@ class TestTransitionSet:
         with pytest.raises(ValueError):
             transition_set(prev, updates, gam[::-1])
         pos_prev = Quantizer(np.array([1.0]), np.array([1.0]))
-        pos_ups = [AffineUpdate(0.5, 1.0, InnovationLaw("gaussian"))]
+        pos_ups = batch((0.5, 1.0))
         with pytest.raises(ValueError):
             transition_set(pos_prev, pos_ups, np.array([-1.0, 2.0]),
                            "absorbing")
@@ -134,23 +111,17 @@ class TestNewtonStep:
     def test_fixed_point_at_stationary_grid(self):
         # well-overlapping components so Newton reaches machine stationarity
         prev = Quantizer(np.array([0.8, 1.1, 1.6]), np.array([0.3, 0.5, 0.2]))
-        updates = [AffineUpdate(0.5, 0.9, InnovationLaw("gaussian")),
-                   AffineUpdate(0.4, 1.3, InnovationLaw("gaussian")),
-                   AffineUpdate(0.25, 0.7, InnovationLaw("ncx2", 4.0))]
+        updates = batch((0.5, 0.9), (0.4, 1.3), (0.25, 0.7, 4.0))
         gam = np.array([0.5, 1.0, 1.8, 2.6])
-        from rmquant._newton import damped_newton
-        from rmquant.affine_schemes import as_batch
-        evaluate = _mixture_evaluator(prev.probabilities, as_batch(updates),
-                                      "free")
+        evaluate = _mixture_evaluator(prev.probabilities, updates, "free")
         stat, ev = damped_newton(gam, evaluate, 100)
         assert np.max(np.abs(ev.grad)) < 1e-12  # actually stationary
-        out = rmq_newton_step(stat, prev, updates)
+        out, _ = damped_newton(stat, evaluate, 1)
         assert out == pytest.approx(stat, abs=1e-12)
 
     def test_gradient_matches_distortion_finite_differences(self):
         prev, updates, gam = small_mixture()
-        from rmquant.affine_schemes import as_batch
-        ev = _mixture_evaluator(prev.probabilities, as_batch(updates), "free")(gam)
+        ev = _mixture_evaluator(prev.probabilities, updates, "free")(gam)
         h = 1e-6
         for j in range(gam.size):
             e = np.zeros(gam.size)
@@ -161,9 +132,7 @@ class TestNewtonStep:
 
     def test_hessian_matches_gradient_finite_differences(self):
         prev, updates, gam = small_mixture()
-        from rmquant.affine_schemes import as_batch
-        batch = as_batch(updates)
-        evaluate = _mixture_evaluator(prev.probabilities, batch, "free")
+        evaluate = _mixture_evaluator(prev.probabilities, updates, "free")
         ev = evaluate(gam)
         h = 1e-6
         fd = np.zeros((4, 4))
@@ -178,15 +147,14 @@ class TestNewtonStep:
         # one previous codeword: the mixture is the plain conditional law
         m, c = 0.8, 2.0
         prev = Quantizer(np.array([5.0]), np.array([1.0]))
-        ups = [AffineUpdate(m, c, InnovationLaw("gaussian"))]
+        ups = batch((m, c))
         law = ScalarDistribution(
             pdf=lambda x: norm_pdf((x - c) / m) / m,
             cdf=lambda x: norm_cdf((x - c) / m),
             m1=lambda x: c * norm_cdf((x - c) / m) + m * norm_m1((x - c) / m),
         )
         gam = np.array([1.2, 1.9, 2.7])
-        from rmquant.affine_schemes import as_batch
-        ev = _mixture_evaluator(prev.probabilities, as_batch(ups), "free")(gam)
+        ev = _mixture_evaluator(prev.probabilities, ups, "free")(gam)
         assert ev.grad == pytest.approx(distortion_gradient(law, gam), rel=1e-12)
         hess = distortion_hessian(law, gam)
         assert ev.hess_diag == pytest.approx(np.diag(hess), rel=1e-12)
@@ -287,12 +255,12 @@ class TestRmqRunGbm:
         # stochastic transition matrix and a finite-difference-consistent
         # gradient (exercised structurally by models with b' < 0)
         prev = Quantizer(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-        ups = [AffineUpdate(0.7, 1.1, InnovationLaw("gaussian")),
-               AffineUpdate(-0.6, 2.2, InnovationLaw("gaussian"))]
+        ups = batch((0.7, 1.1), (-0.6, 2.2))
         gam = np.array([0.6, 1.4, 2.3])
         ts = transition_set(prev, ups, gam)
         assert ts.P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
-        out = rmq_newton_step(gam, prev, ups)
+        out, _ = damped_newton(
+            gam, _mixture_evaluator(prev.probabilities, ups, "free"), 1)
         assert np.all(np.diff(out) > 0)
 
 
@@ -337,7 +305,7 @@ class TestBoundaryModes:
 
     def test_boundary_modes_reject_nonpositive_scale(self):
         prev = Quantizer(np.array([1.0]), np.array([1.0]))
-        ups = [AffineUpdate(-1.0, 1.0, InnovationLaw("gaussian"))]
+        ups = batch((-1.0, 1.0))
         from rmquant import RmqError
         with pytest.raises(RmqError):
             transition_set(prev, ups, np.array([1.0]), "absorbing")
@@ -383,3 +351,51 @@ class TestSerialization:
     def test_json_schema_enforced(self):
         with pytest.raises(ValueError):
             load_sequence_json(io.StringIO(json.dumps({"schema": "other"})))
+
+
+def _scale_mass(doc):
+    for step in doc["steps"]:
+        step["probabilities"] = [1.3 * p for p in step["probabilities"]]
+
+
+def _swap_codewords(doc):
+    cw = doc["steps"][2]["codewords"]
+    cw[10], cw[11] = cw[11], cw[10]
+
+
+def _scale_mass_and_swap_codewords(doc):
+    _scale_mass(doc)
+    _swap_codewords(doc)
+
+
+def _truncate_transitions(doc):
+    doc["transitions"] = doc["transitions"][:-1]
+
+
+def _negative_entry(doc):
+    doc["transitions"][1][5][7] = -1e-3
+
+
+def _break_markov(doc):
+    row = doc["transitions"][3][20]
+    row[:] = [0.5 * v for v in row]
+
+
+def _drop_column(doc):
+    doc["transitions"][0] = [row[:-1] for row in doc["transitions"][0]]
+
+
+class TestLoadedSequenceChecks:
+    @pytest.fixture(scope="class")
+    def dump(self, gbm):
+        seq = rmq_run(gbm, "weak2", 100.0, Schedule(T=1.0, K=6, n_per_step=60))
+        return json.dumps(seq.to_json_dict())
+
+    @pytest.mark.parametrize("edit", [
+        _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
+        _swap_codewords, _negative_entry, _break_markov, _drop_column])
+    def test_edited_dump_is_rejected(self, dump, edit):
+        doc = json.loads(dump)
+        edit(doc)
+        with pytest.raises(ValueError, match="inconsistent sequence"):
+            load_sequence_json(io.StringIO(json.dumps(doc)))
