@@ -93,8 +93,7 @@ def damped_newton(gamma0: np.ndarray,
                   evaluate: Callable[[np.ndarray], StepEval],
                   n_iter: int,
                   lo: Optional[float] = None,
-                  hi: Optional[float] = None,
-                  grad_tol: float = GRAD_TOL):
+                  hi: Optional[float] = None):
     """Run up to ``n_iter`` safeguarded Newton steps from ``gamma0``.
 
     ``evaluate`` maps a strictly increasing grid to a :class:`StepEval`.
@@ -106,7 +105,7 @@ def damped_newton(gamma0: np.ndarray,
     ev = evaluate(gam)
     for _ in range(n_iter):
         g0 = float(np.max(np.abs(ev.grad)))
-        if not np.isfinite(g0) or g0 < grad_tol:
+        if not np.isfinite(g0) or g0 < GRAD_TOL:
             break
         step = solve_tridiag(np.maximum(ev.hess_diag, DIAG_FLOOR),
                              ev.hess_off, ev.grad)
@@ -117,7 +116,7 @@ def damped_newton(gamma0: np.ndarray,
             if _admissible(trial, lo, hi):
                 trial_ev = evaluate(trial)
                 gt = float(np.max(np.abs(trial_ev.grad)))
-                if gt <= g0 or gt < grad_tol:
+                if gt <= g0 or gt < GRAD_TOL:
                     accepted = (trial, trial_ev)
                     break
             alpha *= 0.5

@@ -35,11 +35,6 @@ from .sde_models import (CevParams, GbmParams, cev_model, gbm_exact_marginal,
                          gbm_model)
 from .vq1d import Quantizer, distortion_gradient, initial_guess, newton_quantize
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # optional: without it --threads has no effect
-    threadpool_limits = None
-
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
@@ -112,8 +107,6 @@ def _run_args(sp, default_n=200):
 
 def _common_args(sp):
     sp.add_argument("--config", help="key=value defaults file")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS worker threads (needs threadpoolctl)")
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--seed", type=int, default=None,
@@ -235,8 +228,8 @@ def _build_model(ns):
     return cev_model(params), params
 
 
-def _schedule(ns, n_override=None) -> Schedule:
-    return Schedule(T=ns.T, K=ns.K, n_per_step=n_override or ns.N,
+def _schedule(ns) -> Schedule:
+    return Schedule(T=ns.T, K=ns.K, n_per_step=ns.N,
                     n_max_vq=ns.iters_vq, n_max_rmq=ns.iters_rmq)
 
 
@@ -483,12 +476,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"rmquant: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    limiter = (threadpool_limits(ns.threads)
-               if ns.threads is not None and threadpool_limits is not None
-               else nullcontext())
     try:
-        with limiter:
-            return ns.func(ns)
+        return ns.func(ns)
     except RmqError as exc:
         print(f"rmquant: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -43,11 +43,6 @@ def norm_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
-def norm_m1(x):
-    """First lower partial expectation of the standard normal: -pdf(x)."""
-    return -norm_pdf(x)
-
-
 def norm_m2(x):
     """Second lower partial expectation of the standard normal.
 
@@ -168,19 +163,28 @@ def reflect_m2(m2, law, x, xbar):
 
 @dataclass(frozen=True)
 class ScalarDistribution:
-    """Evaluable (pdf, cdf, m1) triple on a stated support interval.
+    """One fused callable ``fFM`` on a stated support interval.
 
+    ``fFM(x)`` returns the (pdf, cdf, M1) triple, like one row of
+    ``UpdateBatch.law_fFM``; ``pdf``, ``cdf`` and ``m1`` each return one part.
     ``m2`` is optional and only needed for numerical distortion estimates.
     All callables are vectorized over numpy arrays and return exact limit
     values at the support endpoints.  Instances are immutable and safe for
     concurrent reads.
     """
 
-    pdf: Optional[Callable]
-    cdf: Callable
-    m1: Callable
+    fFM: Callable
     m2: Optional[Callable] = None
     support: Tuple[float, float] = REAL_LINE
+
+    def pdf(self, x):
+        return self.fFM(x)[0]
+
+    def cdf(self, x):
+        return self.fFM(x)[1]
+
+    def m1(self, x):
+        return self.fFM(x)[2]
 
 
 @dataclass(frozen=True)
@@ -196,22 +200,18 @@ class Ncx2Params:
 
 def std_normal_funcs() -> ScalarDistribution:
     """Standard normal triple (phi, Phi, -phi) on the real line."""
-    return ScalarDistribution(
-        pdf=norm_pdf, cdf=norm_cdf, m1=norm_m1, m2=norm_m2, support=REAL_LINE
-    )
+    return ScalarDistribution(fFM=norm_fFM, m2=norm_m2, support=REAL_LINE)
 
 
 def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
     """Noncentral chi-squared (1 dof) triple on [0, inf).
 
-    All three functions return 0 for x <= 0 and their exact limits at
+    All three parts are 0 for x <= 0 and take their exact limits at
     infinity: F(inf) = 1, M1(inf) = 1 + lam.
     """
     lam = float(params.lam)
     return ScalarDistribution(
-        pdf=lambda x: ncx2_fFM(x, lam)[0],
-        cdf=lambda x: ncx2_fFM(x, lam)[1],
-        m1=lambda x: ncx2_fFM(x, lam)[2],
+        fFM=lambda x: ncx2_fFM(x, lam),
         m2=lambda x: ncx2_m2(x, lam),
         support=(0.0, np.inf),
     )
@@ -220,7 +220,7 @@ def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
 def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
     """Fold the mass of ``base`` below ``xbar`` back onto [xbar, inf).
 
-    The functions are those of :func:`reflect_fFM` and :func:`reflect_m2`.
+    ``base.fFM`` goes straight to :func:`reflect_fFM` and :func:`reflect_m2`.
     Inputs below xbar are clamped to xbar, so differences across the
     boundary vanish; the density is 0 there.
     """
@@ -229,21 +229,14 @@ def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
         raise ValueError("reflection point must lie below the support's upper end")
     xb = float(xbar)
 
-    def law(x):
-        return base.pdf(x), base.cdf(x), base.m1(x)
-
-    def _clamp(x):
-        return np.maximum(np.asarray(x, dtype=float), xb)
-
-    def pdf(x):
+    def fFM(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= xb, reflect_fFM(law, x, xb)[0], 0.0)
+        f, F, M1 = reflect_fFM(base.fFM, np.maximum(x, xb), xb)
+        return np.where(x >= xb, f, 0.0), F, M1
 
     return ScalarDistribution(
-        pdf=pdf,
-        cdf=lambda x: reflect_fFM(law, _clamp(x), xb)[1],
-        m1=lambda x: reflect_fFM(law, _clamp(x), xb)[2],
+        fFM=fFM,
         m2=None if base.m2 is None
-        else lambda x: reflect_m2(base.m2, law, _clamp(x), xb),
+        else lambda x: reflect_m2(base.m2, base.fFM, np.maximum(x, xb), xb),
         support=(xb, hi),
     )

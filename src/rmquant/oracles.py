@@ -188,7 +188,7 @@ def empirical_cdf(model: SdeModel, s0: float, t: float, samples: int,
     """Step-function CDF (and partial first moment) of simulated states.
 
     Serves as the reference marginal where no closed form is in scope.
-    The returned object has no density (``pdf`` is None).
+    Its density is 0, the derivative of the step function between atoms.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -196,16 +196,13 @@ def empirical_cdf(model: SdeModel, s0: float, t: float, samples: int,
     term = np.sort(simulate_terminal(model, s0, t, cfg, boundary, stepping))
     prefix = np.concatenate([[0.0], np.cumsum(term)]) / samples
 
-    def cdf(x):
-        idx = np.searchsorted(term, np.asarray(x, dtype=float), side="right")
-        return idx / samples
+    def fFM(x):
+        x = np.asarray(x, dtype=float)
+        return (np.zeros_like(x),
+                np.searchsorted(term, x, side="right") / samples,
+                prefix[np.searchsorted(term, x, side="left")])
 
-    def m1(x):
-        idx = np.searchsorted(term, np.asarray(x, dtype=float), side="left")
-        return prefix[idx]
-
-    return ScalarDistribution(pdf=None, cdf=cdf, m1=m1, m2=None,
-                              support=(-np.inf, np.inf))
+    return ScalarDistribution(fFM=fFM, m2=None, support=(-np.inf, np.inf))
 
 
 def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,

@@ -229,8 +229,7 @@ class QuantizationSequence:
     def __init__(self, *, scheme: str, boundary: str, model_kind: str,
                  s0: float, horizon: float, codewords: List[np.ndarray],
                  probabilities: List[np.ndarray],
-                 transitions: List[np.ndarray],
-                 zero_state_mass: Optional[np.ndarray] = None):
+                 transitions: List[np.ndarray]):
         self.scheme = scheme
         self.boundary = boundary
         self.model_kind = model_kind
@@ -239,7 +238,13 @@ class QuantizationSequence:
         self.codewords = codewords
         self.probabilities = probabilities
         self.transitions = transitions
-        self.zero_state_mass = zero_state_mass
+
+    @property
+    def zero_state_mass(self) -> Optional[np.ndarray]:
+        """Per-step mass of the zero trap state (absorbing mode only)."""
+        if self.boundary != ABSORBING:
+            return None
+        return np.array([p[0] for p in self.probabilities])
 
     @property
     def n_steps(self) -> int:
@@ -286,7 +291,7 @@ class QuantizationSequence:
             ],
             "transitions": [P.tolist() for P in self.transitions],
         }
-        if self.zero_state_mass is not None:
+        if self.boundary == ABSORBING:
             doc["zero_state_mass"] = self.zero_state_mass.tolist()
         return doc
 
@@ -309,12 +314,12 @@ class QuantizationSequence:
     def from_json_dict(cls, doc: dict) -> "QuantizationSequence":
         if doc.get("schema") != SEQUENCE_SCHEMA:
             raise ValueError(f"unsupported sequence schema {doc.get('schema')!r}")
-        zs = doc.get("zero_state_mass")
         codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
         probabilities = [np.asarray(s["probabilities"], dtype=float)
                          for s in doc["steps"]]
         transitions = [np.asarray(P, dtype=float) for P in doc["transitions"]]
-        _check_chain(codewords, probabilities, transitions)
+        _check_chain(codewords, probabilities, transitions, doc["boundary"],
+                     doc.get("zero_state_mass"))
         return cls(
             scheme=doc["scheme"],
             boundary=doc["boundary"],
@@ -324,11 +329,11 @@ class QuantizationSequence:
             codewords=codewords,
             probabilities=probabilities,
             transitions=transitions,
-            zero_state_mass=None if zs is None else np.asarray(zs, dtype=float),
         )
 
 
-def _check_chain(codewords, probabilities, transitions):
+def _check_chain(codewords, probabilities, transitions, boundary,
+                 zero_state_mass=None):
     """Raise ValueError unless the arrays form a consistent Markov chain."""
     def need(ok, what):
         if not ok:
@@ -351,6 +356,19 @@ def _check_chain(codewords, probabilities, transitions):
         drift = np.max(np.abs(probabilities[k - 1] @ P - probabilities[k]))
         need(drift <= MARKOV_TOL,
              f"step {k + 1} probabilities differ from p_{k} P_{k} by {drift:.3g}")
+    need(boundary in BOUNDARY_MODES, f"unknown boundary {boundary!r}")
+    if boundary != ABSORBING:
+        return
+    for k, cw in enumerate(codewords, start=1):
+        need(cw[0] == 0.0, f"step {k} does not start with the zero state")
+    for k, P in enumerate(transitions, start=1):
+        need(P[0, 0] == 1.0 and np.all(P[0, 1:] == 0.0),
+             f"transition {k} does not keep the zero state absorbing")
+    if zero_state_mass is not None:
+        zs = np.asarray(zero_state_mass, dtype=float)
+        p0 = np.array([p[0] for p in probabilities])
+        need(zs.shape == p0.shape and np.all(np.abs(zs - p0) <= MARKOV_TOL),
+             "zero_state_mass differs from the zero state's probabilities")
 
 
 def load_sequence_json(fh: IO[str]) -> QuantizationSequence:
@@ -422,7 +440,6 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     codewords: List[np.ndarray] = []
     probabilities: List[np.ndarray] = []
     transitions: List[np.ndarray] = []
-    zero_masses: List[float] = []
 
     for k in range(1, sched.K + 1):
         batch = build(model, prev_cw, dt)
@@ -450,7 +467,6 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
             probabilities.append(np.concatenate([[zero_mass], p_next]))
             if k > 1:
                 transitions.append(aug)
-            zero_masses.append(zero_mass)
         else:
             codewords.append(gam)
             probabilities.append(p_next)
@@ -465,7 +481,6 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         for idx, P in enumerate(transitions, start=2):
             run_p = run_p @ P
             probabilities[idx - 1] = run_p
-            zero_masses[idx - 1] = float(run_p[0])
 
     return QuantizationSequence(
         scheme=scheme,
@@ -476,5 +491,4 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         codewords=codewords,
         probabilities=probabilities,
         transitions=transitions,
-        zero_state_mass=np.asarray(zero_masses) if boundary == ABSORBING else None,
     )

@@ -161,20 +161,14 @@ def gbm_exact_marginal(p: GbmParams, t: float) -> ScalarDistribution:
         z = (np.log(xs / p.s0) - mu) / s
         return pos, finite, xs, z
 
-    def pdf(x):
+    def fFM(x):
         pos, finite, xs, z = _score(x)
-        return np.where(pos & finite, norm_pdf(z) / (xs * s), 0.0)
-
-    def cdf(x):
-        pos, finite, _, z = _score(x)
-        return np.where(pos, np.where(finite, norm_cdf(z), 1.0), 0.0)
-
-    def m1(x):
-        pos, finite, _, z = _score(x)
-        return np.where(pos, np.where(finite, mean * norm_cdf(z - s), mean), 0.0)
+        return (np.where(pos & finite, norm_pdf(z) / (xs * s), 0.0),
+                np.where(pos, np.where(finite, norm_cdf(z), 1.0), 0.0),
+                np.where(pos, np.where(finite, mean * norm_cdf(z - s), mean), 0.0))
 
     def m2(x):
         pos, finite, _, z = _score(x)
         return np.where(pos, np.where(finite, mean2 * norm_cdf(z - 2.0 * s), mean2), 0.0)
 
-    return ScalarDistribution(pdf=pdf, cdf=cdf, m1=m1, m2=m2, support=(0.0, np.inf))
+    return ScalarDistribution(fFM=fFM, m2=m2, support=(0.0, np.inf))

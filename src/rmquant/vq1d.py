@@ -91,10 +91,8 @@ def checked_grid(codewords, support) -> np.ndarray:
 
 def _edge_diffs(dist: ScalarDistribution, edges: np.ndarray):
     """cdf and M1 increments per region, plus pdf at the inner edges."""
-    F = dist.cdf(edges)
-    M1 = dist.m1(edges)
-    f_inner = dist.pdf(edges[1:-1])
-    return np.diff(F), np.diff(M1), f_inner
+    f, F, M1 = dist.fFM(edges)
+    return np.diff(F), np.diff(M1), f[1:-1]
 
 
 def distortion(dist: ScalarDistribution, codewords) -> float:

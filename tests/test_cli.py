@@ -218,16 +218,6 @@ class TestDistError:
         assert 0.0 < float(sups[0]["sup_error"]) < 0.2
 
 
-def test_threads_flag_smoke(tmp_path):
-    out = tmp_path / "grid.csv"
-    rc = main(["rmq", "--N", "30", "--K", "2", "--threads", "1",
-               "--out", str(out)])
-    assert rc == 0
-    base = tmp_path / "base.csv"
-    assert main(["rmq", "--N", "30", "--K", "2", "--out", str(base)]) == 0
-    assert out.read_bytes() == base.read_bytes()
-
-
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

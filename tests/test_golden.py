@@ -4,8 +4,11 @@
 (T=1, K=12, N=200), the codewords and probabilities of every step and the
 ATM European, Bermudan and up-and-out barrier (level 1.2 s0) put prices,
 plus the README ``vq`` grids (normal and ncx2 with lambda=4, N=50, 20
-iterations).  Transition matrices are not stored; the probabilities pin
-them through p_{k+1} = p_k P_k.
+iterations), the grid of ncx2(lambda=4) reflected about 0.3 (N=50, 50
+iterations), and the (f, F, M1, M2) of ``gbm_exact_marginal`` and the
+(F, M1) of a seeded ``empirical_cdf`` on a fixed set of points.
+Transition matrices are not stored; the probabilities pin them through
+p_{k+1} = p_k P_k.
 
 Regenerate (only when a change of the numbers is intended) with
 
@@ -20,7 +23,10 @@ import pytest
 from rmquant import (BarrierSpec, CevParams, GbmParams, Ncx2Params, Schedule,
                      VanillaPayoff, barrier_up_out_price, bermudan_price,
                      cev_model, european_price, gbm_model, ncx2_1_funcs,
-                     newton_quantize, rmq_run, std_normal_funcs)
+                     newton_quantize, reflect_funcs, rmq_run,
+                     std_normal_funcs)
+from rmquant.oracles import empirical_cdf
+from rmquant.sde_models import gbm_exact_marginal
 from rmquant.vq1d import initial_guess
 
 DATA = Path(__file__).with_name("data") / "golden.npz"
@@ -40,6 +46,9 @@ CASES = (
     ("cev", "weak2", "reflecting"),
 )
 VQ_CASES = (("normal", None), ("ncx2", 4.0))
+LAW_NAMES = ("gbm_exact_marginal", "empirical_cdf")
+LAW_POINTS = np.concatenate([[-1.0, 0.0], np.linspace(40.0, 220.0, 46),
+                             [np.inf]])
 
 
 def _case_name(model, scheme, boundary):
@@ -70,6 +79,22 @@ def _vq_grid(family, lam):
     return newton_quantize(dist, initial_guess(family, 50, lam), 20)
 
 
+def _reflected_vq_grid():
+    dist = reflect_funcs(ncx2_1_funcs(Ncx2Params(lam=4.0)), 0.3)
+    return newton_quantize(dist, 0.301 + np.linspace(0.05, 14.0, 50), 50)
+
+
+def _law_values(name):
+    """Values of a single-law constructor at ``LAW_POINTS``."""
+    if name == "gbm_exact_marginal":
+        d = gbm_exact_marginal(GBM, 1.0)
+        return np.stack([d.pdf(LAW_POINTS), d.cdf(LAW_POINTS),
+                         d.m1(LAW_POINTS), d.m2(LAW_POINTS)])
+    d = empirical_cdf(gbm_model(GBM), GBM.s0, 1.0, samples=4096, seed=7,
+                      steps=50)
+    return np.stack([d.cdf(LAW_POINTS), d.m1(LAW_POINTS)])
+
+
 def build_golden() -> dict:
     out = {}
     for case in CASES:
@@ -83,6 +108,11 @@ def build_golden() -> dict:
         q = _vq_grid(family, lam)
         out[f"vq_{family}/codewords"] = q.codewords
         out[f"vq_{family}/probabilities"] = q.probabilities
+    q = _reflected_vq_grid()
+    out["vq_ncx2_reflected/codewords"] = q.codewords
+    out["vq_ncx2_reflected/probabilities"] = q.probabilities
+    for name in LAW_NAMES:
+        out[f"law_{name}"] = _law_values(name)
     return out
 
 
@@ -116,6 +146,22 @@ def test_vq_grid_matches_golden(golden, family, lam):
     np.testing.assert_allclose(q.probabilities,
                                golden[f"vq_{family}/probabilities"],
                                rtol=0.0, atol=ATOL)
+
+
+def test_reflected_vq_grid_matches_golden(golden):
+    q = _reflected_vq_grid()
+    np.testing.assert_allclose(q.codewords,
+                               golden["vq_ncx2_reflected/codewords"],
+                               rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(q.probabilities,
+                               golden["vq_ncx2_reflected/probabilities"],
+                               rtol=0.0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+def test_law_values_match_golden(golden, name):
+    np.testing.assert_allclose(_law_values(name), golden[f"law_{name}"],
+                               rtol=RTOL, atol=0.0)
 
 
 if __name__ == "__main__":

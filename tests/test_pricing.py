@@ -29,7 +29,7 @@ def hand_built_sequence():
     return QuantizationSequence(
         scheme="euler", boundary="absorbing", model_kind="gbm", s0=100.0,
         horizon=0.5, codewords=[cw1, cw2], probabilities=[p1, p2],
-        transitions=[P], zero_state_mass=np.array([p1[0], p2[0]]))
+        transitions=[P])
 
 
 class TestPayoff:

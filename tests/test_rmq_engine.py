@@ -13,7 +13,7 @@ from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
 from rmquant.rmq_engine import _mixture_evaluator
 from rmquant.vq1d import (Quantizer, distortion_gradient, distortion_hessian,
                           newton_quantize)
-from rmquant.distributions import ScalarDistribution, norm_cdf, norm_m1, norm_pdf
+from rmquant.distributions import ScalarDistribution, norm_fFM
 
 from conftest import CEV_LOW_ALPHA
 
@@ -27,6 +27,14 @@ def batch(*rows):
                        lam=[r[2] if len(r) > 2 else 0.0 for r in rows],
                        is_ncx2=[len(r) > 2 for r in rows],
                        fallback=[False] * len(rows))
+
+
+def gaussian_law(m, c):
+    """The law of m Z + c, Z standard normal, for m > 0."""
+    def fFM(x):
+        f, F, M1 = norm_fFM((np.asarray(x, dtype=float) - c) / m)
+        return f / m, F, c * F + m * M1
+    return ScalarDistribution(fFM=fFM)
 
 
 def small_mixture():
@@ -148,11 +156,7 @@ class TestNewtonStep:
         m, c = 0.8, 2.0
         prev = Quantizer(np.array([5.0]), np.array([1.0]))
         ups = batch((m, c))
-        law = ScalarDistribution(
-            pdf=lambda x: norm_pdf((x - c) / m) / m,
-            cdf=lambda x: norm_cdf((x - c) / m),
-            m1=lambda x: c * norm_cdf((x - c) / m) + m * norm_m1((x - c) / m),
-        )
+        law = gaussian_law(m, c)
         gam = np.array([1.2, 1.9, 2.7])
         ev = _mixture_evaluator(prev.probabilities, ups, "free")(gam)
         assert ev.grad == pytest.approx(distortion_gradient(law, gam), rel=1e-12)
@@ -220,11 +224,7 @@ class TestRmqRunGbm:
         seq = rmq_run(gbm, "euler", 100.0, sched, "free")
         u = euler_updates(gbm, np.array([100.0]), sched.dt)
         m, c = float(u.m[0]), float(u.c[0])
-        law = ScalarDistribution(
-            pdf=lambda x: norm_pdf((x - c) / m) / m,
-            cdf=lambda x: norm_cdf((x - c) / m),
-            m1=lambda x: c * norm_cdf((x - c) / m) + m * norm_m1((x - c) / m),
-        )
+        law = gaussian_law(m, c)
         from rmquant.vq1d import initial_guess
         q = newton_quantize(law, np.sort(m * initial_guess("normal", 40) + c),
                             sched.n_max_vq)
@@ -385,17 +385,59 @@ def _drop_column(doc):
     doc["transitions"][0] = [row[:-1] for row in doc["transitions"][0]]
 
 
+def _bogus_boundary(doc):
+    doc["boundary"] = "bogus"
+    doc["zero_state_mass"] = [0.9] * 4
+
+
+def _move_zero_state(doc):
+    cw = doc["steps"][1]["codewords"]
+    cw[0] = 0.5 * cw[1]
+
+
+def _leak_zero_state(doc):
+    # row 0 of the last transition leaks half the trap mass; the last
+    # probabilities and zero mass are recomputed so the chain stays Markov
+    P = np.array(doc["transitions"][-1])
+    P[0, :2] = 0.5
+    doc["transitions"][-1] = P.tolist()
+    p = np.array(doc["steps"][-2]["probabilities"]) @ P
+    doc["steps"][-1]["probabilities"] = p.tolist()
+    doc["zero_state_mass"][-1] = p[0]
+
+
+def _shift_zero_state_mass(doc):
+    doc["zero_state_mass"][2] += 1e-9
+
+
+ABSORBING_EDITS = (_bogus_boundary, _move_zero_state, _leak_zero_state,
+                   _shift_zero_state_mass)
+
+
 class TestLoadedSequenceChecks:
     @pytest.fixture(scope="class")
-    def dump(self, gbm):
-        seq = rmq_run(gbm, "weak2", 100.0, Schedule(T=1.0, K=6, n_per_step=60))
-        return json.dumps(seq.to_json_dict())
+    def dump(self, gbm, cev_low_alpha):
+        free = rmq_run(gbm, "weak2", 100.0, Schedule(T=1.0, K=6, n_per_step=60))
+        absorbing = rmq_run(cev_low_alpha, "euler", CEV_LOW_ALPHA.s0,
+                            Schedule(T=1.0, K=4, n_per_step=40), "absorbing")
+        return {"free": json.dumps(free.to_json_dict()),
+                "absorbing": json.dumps(absorbing.to_json_dict())}
+
+    def test_unedited_dumps_load(self, dump):
+        for boundary, text in dump.items():
+            seq = load_sequence_json(io.StringIO(text))
+            zs = json.loads(text).get("zero_state_mass")
+            assert seq.boundary == boundary
+            assert (seq.zero_state_mass is None) == (zs is None)
+            if zs is not None:
+                assert np.array_equal(seq.zero_state_mass, zs)
 
     @pytest.mark.parametrize("edit", [
         _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
-        _swap_codewords, _negative_entry, _break_markov, _drop_column])
+        _swap_codewords, _negative_entry, _break_markov, _drop_column,
+        *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
-        doc = json.loads(dump)
+        doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
         edit(doc)
         with pytest.raises(ValueError, match="inconsistent sequence"):
             load_sequence_json(io.StringIO(json.dumps(doc)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from rmquant import (Ncx2Params, ScalarDistribution, distortion,
                      distortion_gradient, distortion_hessian, initial_guess,
-                     ncx2_1_funcs, newton_quantize, region_boundaries,
-                     std_normal_funcs)
+                     ncx2_1_funcs, newton_quantize, reflect_funcs,
+                     region_boundaries, std_normal_funcs)
+from rmquant import vq1d
 from rmquant.vq1d import Quantizer
 
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -77,15 +80,15 @@ class TestDistortion:
         def step(x):
             return (np.asarray(x, dtype=float) >= loc).astype(float)
 
-        pm = ScalarDistribution(pdf=lambda x: np.zeros_like(np.asarray(x, float)),
-                                cdf=step,
-                                m1=lambda x: loc * step(x),
-                                m2=lambda x: loc * loc * step(x))
+        pm = ScalarDistribution(
+            fFM=lambda x: (np.zeros_like(np.asarray(x, float)), step(x),
+                           loc * step(x)),
+            m2=lambda x: loc * loc * step(x))
         assert distortion(pm, [loc]) == pytest.approx(0.0, abs=1e-14)
 
     def test_missing_m2_reported(self):
         d = std_normal_funcs()
-        bare = ScalarDistribution(pdf=d.pdf, cdf=d.cdf, m1=d.m1)
+        bare = ScalarDistribution(fFM=d.fFM)
         with pytest.raises(ValueError, match="m2"):
             distortion(bare, [0.0])
 
@@ -221,3 +224,43 @@ class TestQuantizerType:
             Quantizer(np.array([1.0, 2.0]), np.array([0.5]))
         with pytest.raises(ValueError):
             Quantizer(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
+
+
+def counted(dist):
+    """``dist`` with a call counter on its fused law callable."""
+    calls = []
+
+    def fFM(x):
+        calls.append(np.size(x))
+        return dist.fFM(x)
+    return dataclasses.replace(dist, fFM=fFM), calls
+
+
+class TestLawEvaluationCount:
+    """Each Newton evaluation evaluates the law once, at all edges."""
+
+    NCX2 = Ncx2Params(lam=4.0)
+
+    def test_gradient_calls_law_once(self):
+        d, calls = counted(ncx2_1_funcs(self.NCX2))
+        distortion_gradient(d, initial_guess("ncx2", 20, 4.0))
+        assert calls == [21]
+
+    def test_reflection_calls_base_twice(self):
+        base, calls = counted(ncx2_1_funcs(self.NCX2))
+        refl = reflect_funcs(base, 0.3)
+        distortion_gradient(refl, 0.301 + np.linspace(0.05, 14.0, 20))
+        assert calls == [21, 21]
+
+    def test_one_law_call_per_newton_evaluation(self, monkeypatch):
+        d, calls = counted(ncx2_1_funcs(self.NCX2))
+        evals = []
+        real = vq1d._evaluate
+
+        def evaluate(dist, gam):
+            evals.append(gam.size)
+            return real(dist, gam)
+        monkeypatch.setattr(vq1d, "_evaluate", evaluate)
+        newton_quantize(d, initial_guess("ncx2", 50, 4.0), 20)
+        assert len(evals) > 2
+        assert calls == [n + 1 for n in evals]
