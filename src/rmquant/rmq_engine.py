@@ -139,10 +139,12 @@ def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
     """P, M and inner-density matrices for one candidate next grid."""
     f, F, M1 = batch.law_fFM(*_normalized_edges(batch, next_codewords,
                                                  boundary))
-    sgn = np.sign(batch.m)[:, None]
-    P = np.maximum(sgn * (F[:, 1:] - F[:, :-1]), 0.0)
-    M = M1[:, 1:] - M1[:, :-1]
-    return TransitionSet(P=P, M=M, f=f[:, 1:-1])
+    P = np.subtract(F[:, 1:], F[:, :-1])
+    if not np.all(batch.m > 0.0):
+        P *= np.sign(batch.m)[:, None]
+    np.maximum(P, 0.0, out=P)
+    return TransitionSet(P=P, M=np.subtract(M1[:, 1:], M1[:, :-1]),
+                         f=f[:, 1:-1])
 
 
 def transition_set(prev: Quantizer, batch: UpdateBatch, next_codewords,
@@ -314,6 +316,10 @@ class QuantizationSequence:
     def from_json_dict(cls, doc: dict) -> "QuantizationSequence":
         if doc.get("schema") != SEQUENCE_SCHEMA:
             raise ValueError(f"unsupported sequence schema {doc.get('schema')!r}")
+        _require_fields(doc, "model", "scheme", "boundary", "s0", "horizon",
+                        "steps", "transitions")
+        for s in doc["steps"]:
+            _require_fields(s, "codewords", "probabilities")
         codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
         probabilities = [np.asarray(s["probabilities"], dtype=float)
                          for s in doc["steps"]]
@@ -330,6 +336,14 @@ class QuantizationSequence:
             probabilities=probabilities,
             transitions=transitions,
         )
+
+
+def _require_fields(doc: dict, *names: str):
+    """Raise ValueError if ``doc`` lacks any of the fields ``names``."""
+    missing = [n for n in names if n not in doc]
+    if missing:
+        raise ValueError(f"inconsistent sequence: missing field "
+                         f"{', '.join(map(repr, missing))}")
 
 
 def _check_chain(codewords, probabilities, transitions, boundary,

@@ -180,7 +180,8 @@ def mixed_law_matrix(rng, n_rows=10, n_cols=9):
     """Sorted rows of innovation arguments for a batch mixing Gaussian and
     ncx2 rows, with -inf, 0 and +inf entries."""
     is_ncx2 = np.arange(n_rows) % 3 != 0
-    lam = np.where(is_ncx2, np.geomspace(0.05, 80.0, n_rows), 0.0)
+    # sqrt(lam) spans LOBE_CUT: rows with and without a live second lobe
+    lam = np.where(is_ncx2, np.geomspace(0.05, 400.0, n_rows), 0.0)
     z = np.empty((n_rows, n_cols))
     for i in range(n_rows):
         if is_ncx2[i]:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from rmquant import Ncx2Params, ncx2_1_funcs, reflect_funcs, std_normal_funcs
-from rmquant.distributions import ncx2_m2, norm_m2
+from rmquant.distributions import (LOBE_CUT, ncx2_fFM, ncx2_m2, norm_m2,
+                                   norm_pdf)
 
 from conftest import assert_derivative
 
@@ -102,6 +104,64 @@ class TestNcx2:
         theo = d.cdf(qs)
         band = 3.0 * np.sqrt(theo * (1.0 - theo) / n)
         assert np.all(np.abs(emp - theo) <= band)
+
+
+def unfused_ncx2_fFM(x, lam):
+    """The ncx2(1) closed form with both lobes everywhere, one pass per term."""
+    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+    live = (x > 0.0) & np.isfinite(x)
+    xs = np.sqrt(np.where(live, x, 1.0))
+    xp, xm = xs - np.sqrt(lam), -xs - np.sqrt(lam)
+    pp, pm = norm_pdf(xp), norm_pdf(xm)
+    F = ndtr(xp) - ndtr(xm)
+    M1 = (1.0 + lam) * F + pp * xm - pm * xp
+    top = x == np.inf
+    return (np.where(live, (pp + pm) / (2.0 * xs), 0.0),
+            np.where(live, F, np.where(top, 1.0, 0.0)),
+            np.where(live, M1, np.where(top, 1.0 + lam, 0.0)))
+
+
+# sqrt(lam) on both sides of LOBE_CUT; 99 and 100 put the cut near x = 0
+CUT_LAMS = np.array([0.0, 2.0, 49.0, 81.0, 99.0, 100.0, 150.0])
+
+
+def cut_points(lam):
+    """Points with x- = -sqrt(x) - sqrt(lam) on both sides of -LOBE_CUT,
+    plus 0, negative and +-inf points."""
+    at_cut = max(LOBE_CUT - np.sqrt(lam), 0.0) ** 2
+    return np.concatenate([[-np.inf, -1.0, 0.0],
+                           at_cut * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0]),
+                           np.linspace(0.01, lam + 60.0, 40), [np.inf]])
+
+
+class TestLobeCut:
+    """The second ncx2 lobe is dropped below -LOBE_CUT, within 1e-21."""
+
+    def test_cut_is_below_double_precision(self):
+        assert ndtr(LOBE_CUT) == 1.0
+        assert ndtr(-LOBE_CUT) < 1e-23
+        assert norm_pdf(LOBE_CUT) < 1e-22
+
+    @pytest.mark.parametrize("form", ["0-d", "1-d", "rows"])
+    def test_matches_unfused_closed_form(self, form):
+        if form == "rows":
+            x = np.sort(np.concatenate([cut_points(lam) for lam in CUT_LAMS]))
+            lam = CUT_LAMS[:, None]
+            cases = [(x, lam)]
+        elif form == "1-d":
+            cases = [(cut_points(lam), lam) for lam in CUT_LAMS]
+        else:
+            cases = [(np.float64(x), lam) for lam in CUT_LAMS
+                     for x in cut_points(lam)]
+        xm = [-np.sqrt(np.maximum(x, 0.0)) - np.sqrt(lam) for x, lam in cases]
+        assert any(np.any(v > -LOBE_CUT) for v in xm)
+        assert any(np.any(np.isfinite(v) & (v < -LOBE_CUT)) for v in xm)
+        for x, lam in cases:
+            got, want = ncx2_fFM(x, lam), unfused_ncx2_fFM(x, lam)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == np.broadcast_shapes(
+                    np.shape(x), np.shape(lam))
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-21)
 
 
 class TestReflection:

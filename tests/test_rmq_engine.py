@@ -410,6 +410,20 @@ def _shift_zero_state_mass(doc):
     doc["zero_state_mass"][2] += 1e-9
 
 
+def _keep_only_schema(doc):
+    schema = doc["schema"]
+    doc.clear()
+    doc["schema"] = schema
+
+
+def _drop_step_probabilities(doc):
+    del doc["steps"][2]["probabilities"]
+
+
+def _drop_model(doc):
+    del doc["model"]
+
+
 ABSORBING_EDITS = (_bogus_boundary, _move_zero_state, _leak_zero_state,
                    _shift_zero_state_mass)
 
@@ -435,6 +449,7 @@ class TestLoadedSequenceChecks:
     @pytest.mark.parametrize("edit", [
         _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
         _swap_codewords, _negative_entry, _break_markov, _drop_column,
+        _keep_only_schema, _drop_step_probabilities, _drop_model,
         *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
         doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
