@@ -8,15 +8,19 @@ price        price european / bermudan / barrier claims with references
 convergence  first-moment weak-order study over a list of step counts
 dist-error   implied-vs-reference terminal cdf error profile
 
-Every command is deterministic given its flags; commands that need Monte
-Carlo references require an explicit ``--seed``.  A ``--config`` file of
-``key=value`` lines supplies defaults that explicit flags override.
+Every command is deterministic given its flags; ``price`` and
+``dist-error``, the commands with Monte Carlo references, take ``--seed``
+and require it where a reference is simulated.  A ``--config`` file of
+``key=value`` lines supplies defaults that explicit flags override: each
+key is a long flag name without ``--`` (``N=200``, ``iters-rmq=10``,
+``lambda=4``) and is checked exactly like that flag.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import nullcontext
@@ -27,12 +31,12 @@ import numpy as np
 from .affine_schemes import SCHEME_BUILDERS
 from .distributions import Ncx2Params, ncx2_1_funcs, std_normal_funcs
 from .oracles import (FdConfig, McConfig, black_scholes, cn_bermudan,
-                      empirical_cdf, simulate_terminal)
+                      empirical_cdf, mc_estimate, simulate_terminal)
 from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
                       bermudan_price, european_price)
 from .rmq_engine import RmqError, Schedule, implied_marginal_cdf, rmq_run
-from .sde_models import (CevParams, GbmParams, cev_model, gbm_exact_marginal,
-                         gbm_model)
+from .sde_models import (CevParams, CoefficientDomainError, GbmParams,
+                         cev_model, gbm_exact_marginal, gbm_model)
 from .vq1d import Quantizer, distortion_gradient, initial_guess, newton_quantize
 
 EXIT_OK = 0
@@ -105,12 +109,18 @@ def _run_args(sp, default_n=200):
                     default="free")
 
 
+def _mc_args(sp):
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed for Monte Carlo references")
+    sp.add_argument("--mc-paths", type=int, default=1_000_000,
+                    dest="mc_paths")
+    sp.add_argument("--mc-steps", type=int, default=1200, dest="mc_steps")
+
+
 def _common_args(sp):
     sp.add_argument("--config", help="key=value defaults file")
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed for Monte Carlo references")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,15 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strike grid as multiples of s0 (start:stop:count)")
     price.add_argument("--levels", type=_parse_range, default=None,
                        help="barrier levels as multiples of the strike")
-    price.add_argument("--mc-paths", type=int, default=1_000_000,
-                       dest="mc_paths")
-    price.add_argument("--mc-steps", type=int, default=1200, dest="mc_steps")
     price.add_argument("--fd-time-steps", type=int, default=600,
                        dest="fd_time_steps")
     price.add_argument("--fd-space-steps", type=int, default=800,
                        dest="fd_space_steps")
     price.add_argument("--fd-smax-mult", type=float, default=4.0,
                        dest="fd_smax_mult")
+    _mc_args(price)
     _model_args(price)
     _run_args(price)
     _common_args(price)
@@ -174,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--schemes", type=_parse_schemes, default=list(ALL_SCHEMES))
     de.add_argument("--grid-points", type=int, default=1000,
                     dest="grid_points")
-    de.add_argument("--mc-paths", type=int, default=1_000_000, dest="mc_paths")
-    de.add_argument("--mc-steps", type=int, default=1200, dest="mc_steps")
+    _mc_args(de)
     _model_args(de)
     _run_args(de)
     _common_args(de)
@@ -196,28 +203,6 @@ def _read_config(path: str) -> Dict[str, str]:
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
-
-
-def _apply_config(ns, parser_actions, argv: List[str]):
-    """Overlay config-file values under explicitly passed flags."""
-    cfg = _read_config(ns.config)
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok.split("=", 1)[0])
-    by_dest = {}
-    for act in parser_actions:
-        if act.option_strings:
-            by_dest[act.dest] = act
-    for key, raw in cfg.items():
-        dest = key.replace("-", "_")
-        act = by_dest.get(dest)
-        if act is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if any(opt in explicit for opt in act.option_strings):
-            continue
-        value = act.type(raw) if act.type is not None else raw
-        setattr(ns, dest, value)
 
 
 def _build_model(ns):
@@ -307,78 +292,65 @@ def _monitoring_stride(mc_steps: int, K: int) -> int:
 
 
 def cmd_price(ns) -> int:
+    barrier = ns.instrument == "barrier"
+    mc_ref = barrier or (ns.instrument == "european" and ns.model == "cev")
+    if mc_ref and ns.seed is None:
+        what = "barrier" if barrier else "CEV european"
+        print(f"price: {what} references need --seed", file=sys.stderr)
+        return EXIT_USAGE
     model, params = _build_model(ns)
     seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns), ns.boundary)
     kind = ns.kind
     r = ns.r
     atm = ns.strike if ns.strike is not None else params.s0
+    strikes = (ns.strikes * params.s0 if ns.strikes is not None
+               else np.array([atm]))
     mc_boundary = ns.boundary if ns.model == "cev" else "free"
+    if mc_ref:
+        stride = _monitoring_stride(ns.mc_steps, ns.K) if barrier else 1
+        cfg = McConfig(paths=ns.mc_paths, steps=ns.mc_steps, seed=ns.seed,
+                       monitoring_stride=stride)
+        mc = simulate_terminal(model, params.s0, ns.T, cfg, mc_boundary,
+                               want_running_max=barrier)
+    disc = np.exp(-r * ns.T)
 
     rows = []
+
+    def add_row(x, price, ref, se=None):
+        rows.append({"scheme": ns.scheme, "instrument": ns.instrument,
+                     "strike_or_level": float(x), "price": price,
+                     "reference": ref, "abs_error": abs(price - ref),
+                     "std_error": se})
+
     if ns.instrument == "european":
-        strikes = (ns.strikes * params.s0 if ns.strikes is not None
-                   else np.array([atm]))
-        term = None
-        if ns.model != "gbm":
-            if ns.seed is None:
-                print("price: CEV european references need --seed",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            cfg = McConfig(paths=ns.mc_paths, steps=ns.mc_steps, seed=ns.seed)
-            term = simulate_terminal(model, params.s0, ns.T, cfg, mc_boundary)
         for strike in strikes:
             payoff = VanillaPayoff(kind=kind, strike=float(strike))
-            price = european_price(seq, payoff, r)
             if ns.model == "gbm":
-                ref = black_scholes(kind, params.s0, float(strike), r,
-                                    params.sigma, ns.T)
-                se = None
+                ref, se = black_scholes(kind, params.s0, float(strike), r,
+                                        params.sigma, ns.T), None
             else:
-                vals = np.exp(-r * ns.T) * payoff.values(term)
-                ref = float(np.mean(vals))
-                se = float(np.std(vals, ddof=1) / np.sqrt(vals.size))
-            rows.append({"scheme": ns.scheme, "instrument": "european",
-                         "strike_or_level": float(strike), "price": price,
-                         "reference": ref, "abs_error": abs(price - ref),
-                         "std_error": se})
+                ref, se = mc_estimate(disc * payoff.values(mc))
+            add_row(strike, european_price(seq, payoff, r), ref, se)
     elif ns.instrument == "bermudan":
-        strikes = (ns.strikes * params.s0 if ns.strikes is not None
-                   else np.array([atm]))
         dates = [k * ns.T / ns.K for k in range(1, ns.K)]
         fd_cfg = FdConfig(time_steps=ns.fd_time_steps,
                           space_steps=ns.fd_space_steps,
                           s_max_mult=ns.fd_smax_mult)
         for strike in strikes:
             payoff = VanillaPayoff(kind=kind, strike=float(strike))
-            price = bermudan_price(seq, payoff, r)
-            ref = cn_bermudan(model, params.s0, ns.T, r, payoff, dates, fd_cfg)
-            rows.append({"scheme": ns.scheme, "instrument": "bermudan",
-                         "strike_or_level": float(strike), "price": price,
-                         "reference": ref, "abs_error": abs(price - ref),
-                         "std_error": None})
-    else:  # barrier
-        if ns.seed is None:
-            print("price: barrier references need --seed", file=sys.stderr)
-            return EXIT_USAGE
+            add_row(strike, bermudan_price(seq, payoff, r),
+                    cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
+                                fd_cfg))
+    else:
         levels = (ns.levels if ns.levels is not None
                   else np.linspace(1.05, 1.5, 10)) * atm
         payoff = VanillaPayoff(kind=kind, strike=atm)
-        stride = _monitoring_stride(ns.mc_steps, ns.K)
-        cfg = McConfig(paths=ns.mc_paths, steps=ns.mc_steps, seed=ns.seed,
-                       monitoring_stride=stride)
-        term, smax = simulate_terminal(model, params.s0, ns.T, cfg,
-                                       mc_boundary, want_running_max=True)
-        base = np.exp(-r * ns.T) * payoff.values(term)
+        term, smax = mc
+        base = disc * payoff.values(term)
         for level in levels:
             price = barrier_up_out_price(seq, payoff,
                                          BarrierSpec(level=float(level)), r)
-            vals = base * (smax < level)
-            ref = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / np.sqrt(vals.size))
-            rows.append({"scheme": ns.scheme, "instrument": "barrier",
-                         "strike_or_level": float(level), "price": price,
-                         "reference": ref, "abs_error": abs(price - ref),
-                         "std_error": se})
+            add_row(level, price, *mc_estimate(base * (smax < level)))
     _write_table(ns, PRICES_SCHEMA,
                  ["scheme", "instrument", "strike_or_level", "price",
                   "reference", "abs_error", "std_error"], rows)
@@ -396,8 +368,7 @@ def cmd_convergence(ns) -> int:
     for scheme in ns.schemes:
         errs = []
         for K in ns.k_list:
-            sched = Schedule(T=ns.T, K=K, n_per_step=ns.N,
-                             n_max_vq=ns.iters_vq, n_max_rmq=ns.iters_rmq)
+            sched = dataclasses.replace(_schedule(ns), K=K)
             seq = rmq_run(model, scheme, params.s0, sched, ns.boundary)
             err = abs(seq.terminal_mean() - target)
             errs.append(max(err, 1e-300))
@@ -467,18 +438,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.config:
+        # Config lines become flags ahead of the explicit ones, which win.
         try:
-            for act in parser._subparsers._group_actions:
-                sub = act.choices.get(ns.command)
-                if sub is not None:
-                    _apply_config(ns, sub._actions, argv)
-                    break
+            cfg = _read_config(ns.config)
         except (OSError, ValueError) as exc:
             print(f"rmquant: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        ns, unknown = parser.parse_known_args(
+            argv[:1] + [f"--{key.replace('_', '-')}={value}"
+                        for key, value in cfg.items()] + argv[1:])
+        if unknown:
+            keys = ", ".join(tok.lstrip("-").split("=", 1)[0] for tok in unknown)
+            print(f"rmquant: config error: unknown config key {keys}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         return ns.func(ns)
-    except RmqError as exc:
+    except (RmqError, CoefficientDomainError) as exc:
         print(f"rmquant: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

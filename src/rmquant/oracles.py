@@ -174,12 +174,15 @@ def mc_price(model: SdeModel, s0: float, T: float, r: float,
         vals = payoff.values(term)
     else:
         raise ValueError(f"unknown instrument {instrument!r}")
-    vals = np.exp(-r * T) * vals
+    return mc_estimate(np.exp(-r * T) * vals)
+
+
+def mc_estimate(vals: np.ndarray) -> Tuple[float, float]:
+    """Mean and standard error of discounted path payoffs (SE 0 for one path)."""
     mean = float(np.mean(vals))
-    if cfg.paths == 1:
+    if vals.size == 1:
         return mean, 0.0
-    se = float(np.std(vals, ddof=1) / np.sqrt(cfg.paths))
-    return mean, se
+    return mean, float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
 def empirical_cdf(model: SdeModel, s0: float, t: float, samples: int,

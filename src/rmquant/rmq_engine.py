@@ -125,11 +125,12 @@ def _support(boundary: str):
     return (-np.inf if boundary == FREE else 0.0, np.inf)
 
 
-def _normalized_edges(batch: UpdateBatch, gam: np.ndarray, boundary: str):
-    """Region boundaries of ``gam`` in each row's innovation coordinates,
-    and the rows' reflection points (None unless reflecting)."""
-    edges = voronoi_edges(gam, *_support(boundary))
-    z = (edges[None, :] - batch.c[:, None]) / batch.m[:, None]
+def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
+    """State points ``x`` in each row's innovation coordinates
+    (x - c_i) / m_i, and the rows' reflection points (None unless
+    reflecting)."""
+    z = np.subtract(x[None, :], batch.c[:, None])
+    z /= batch.m[:, None]
     xbar = -batch.c / batch.m if boundary == REFLECTING else None
     return z, xbar
 
@@ -137,8 +138,8 @@ def _normalized_edges(batch: UpdateBatch, gam: np.ndarray, boundary: str):
 def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
                 boundary: str) -> TransitionSet:
     """P, M and inner-density matrices for one candidate next grid."""
-    f, F, M1 = batch.law_fFM(*_normalized_edges(batch, next_codewords,
-                                                 boundary))
+    edges = voronoi_edges(next_codewords, *_support(boundary))
+    f, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
     P = np.subtract(F[:, 1:], F[:, :-1])
     if not np.all(batch.m > 0.0):
         P *= np.sign(batch.m)[:, None]
@@ -185,7 +186,8 @@ def mixture_distortion(next_codewords, prev: Quantizer, batch: UpdateBatch,
     _validate_boundary(boundary)
     gam = checked_grid(next_codewords, _support(boundary))
     P, M, _ = _z_matrices(batch, gam, boundary)
-    M2 = batch.law_m2(*_normalized_edges(batch, gam, boundary))
+    edges = voronoi_edges(gam, *_support(boundary))
+    M2 = batch.law_m2(*_normalized_edges(batch, edges, boundary))
     dM2 = np.sign(batch.m)[:, None] * (M2[:, 1:] - M2[:, :-1])
     gc = gam[None, :] - batch.c[:, None]
     absm = np.abs(batch.m)[:, None]
@@ -206,10 +208,8 @@ def implied_marginal_cdf(x, prev: Quantizer, batch: UpdateBatch,
     _validate_boundary(boundary)
     _require_positive_scale(batch, boundary)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    z = (xs[None, :] - batch.c[:, None]) / batch.m[:, None]
     p = prev.probabilities
-    _, F, _ = batch.law_fFM(z, -batch.c / batch.m if boundary == REFLECTING
-                            else None)
+    _, F, _ = batch.law_fFM(*_normalized_edges(batch, xs, boundary))
     if boundary == FREE:
         heavi = (batch.m < 0.0).astype(float)[:, None]
         out = p @ (heavi + np.sign(batch.m)[:, None] * F)
@@ -449,7 +449,6 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
 
     prev_cw = np.array([float(s0)])
     prev_p = np.array([1.0])
-    zero_mass = 0.0
 
     codewords: List[np.ndarray] = []
     probabilities: List[np.ndarray] = []
@@ -471,30 +470,23 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         P = ev.aux.P
         p_next = prev_p @ P
         if boundary == ABSORBING:
-            absorbed = np.maximum(1.0 - P.sum(axis=1), 0.0)
-            zero_mass = zero_mass + float(prev_p @ absorbed)
             aug = np.zeros((P.shape[0] + 1, P.shape[1] + 1))
             aug[0, 0] = 1.0
-            aug[1:, 0] = absorbed
+            aug[1:, 0] = np.maximum(1.0 - P.sum(axis=1), 0.0)
             aug[1:, 1:] = P
+            # Store the augmented probabilities as products of the stored
+            # augmented transitions so the Markov identity holds exactly
+            # as stored; step 1 starts from all mass on s0.
+            last_p = probabilities[-1] if k > 1 else np.array([0.0, 1.0])
             codewords.append(np.concatenate([[0.0], gam]))
-            probabilities.append(np.concatenate([[zero_mass], p_next]))
-            if k > 1:
-                transitions.append(aug)
+            probabilities.append(last_p @ aug)
+            P = aug
         else:
             codewords.append(gam)
             probabilities.append(p_next)
-            if k > 1:
-                transitions.append(P)
+        if k > 1:
+            transitions.append(P)
         prev_cw, prev_p = gam, p_next
-
-    # Re-derive the stored augmented probabilities from the augmented
-    # transition products so the Markov identity holds exactly as stored.
-    if boundary == ABSORBING:
-        run_p = probabilities[0]
-        for idx, P in enumerate(transitions, start=2):
-            run_p = run_p @ P
-            probabilities[idx - 1] = run_p
 
     return QuantizationSequence(
         scheme=scheme,

@@ -100,10 +100,16 @@ def gbm_model(p: GbmParams) -> SdeModel:
     )
 
 
+class CoefficientDomainError(ValueError):
+    """A coefficient was evaluated off its domain: a numerical failure."""
+
+
 def _cev_positive(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise ValueError("CEV coefficients are only defined for x > 0")
+        raise CoefficientDomainError(
+            "CEV coefficients are only defined for x > 0; for processes that "
+            "can reach zero, rerun with an absorbing or reflecting boundary")
     return np.maximum(x, _CEV_EVAL_FLOOR)
 
 

@@ -164,6 +164,26 @@ class TestPrice:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_cev_reference_reaching_zero_is_numerical_failure(
+            self, tmp_path, capsys):
+        # The free-boundary grids stay positive, but Monte Carlo paths
+        # reach zero, where the CEV coefficients are undefined.
+        rc = main(["price", "european", "--model", "cev", "--s0", "0.5",
+                   "--alpha", "0.35", "--sigma-ln", "0.5", "--K", "12",
+                   "--N", "50", "--seed", "1", "--mc-paths", "20000",
+                   "--mc-steps", "120", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "boundary" in capsys.readouterr().err
+
+    def test_single_path_reference_has_zero_standard_error(self, tmp_path):
+        out = tmp_path / "prices.csv"
+        rc = main(["price", "european", "--model", "cev", "--N", "40",
+                   "--K", "3", "--seed", "1", "--mc-paths", "1",
+                   "--mc-steps", "12", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert float(rows[0]["std_error"]) == 0.0
+
 
 class TestConvergence:
     def test_small_study(self, tmp_path):
@@ -202,6 +222,13 @@ class TestDistError:
         rc = main(["dist-error", "--model", "cev",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_cev_reference_reaching_zero_is_numerical_failure(self, tmp_path):
+        rc = main(["dist-error", "--model", "cev", "--s0", "0.5", "--alpha",
+                   "0.35", "--sigma-ln", "0.5", "--schemes", "euler",
+                   "--N", "50", "--seed", "1", "--mc-paths", "20000",
+                   "--mc-steps", "120", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
 
     @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
     def test_cev_boundary_profile(self, tmp_path, boundary):
@@ -243,3 +270,47 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         rc = main(["rmq", "--config", str(cfg)])
         assert rc == 2
+
+    def test_invalid_config_value_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=bogus\n")
+        out = tmp_path / "grid.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["rmq", "--config", str(cfg), "--N", "20", "--K", "2",
+                  "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iters-rmq=7\n")
+        grids = {}
+        for name, extra in (("config", ["--config", str(cfg), "--iters-r", "1"]),
+                            ("one", ["--iters-rmq", "1"]),
+                            ("seven", ["--iters-rmq", "7"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["rmq", "--N", "40", "--K", "3", *extra,
+                         "--out", str(out)]) == 0
+            grids[name] = out.read_bytes()
+        assert grids["one"] != grids["seven"]
+        assert grids["config"] == grids["one"]
+
+    def test_key_is_the_flag_name(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=4\n")
+        out = tmp_path / "vq.csv"
+        rc = main(["vq", "--dist", "ncx2", "--config", str(cfg), "--n", "5",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+
+
+@pytest.mark.parametrize("command", [["vq", "--dist", "normal"], ["rmq"],
+                                     ["convergence"]],
+                         ids=["vq", "rmq", "convergence"])
+def test_seed_only_where_monte_carlo_runs(command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "1"])
+    assert exc.value.code == 2
