@@ -89,6 +89,11 @@ class UpdateBatch:
     def size(self) -> int:
         return self.m.shape[0]
 
+    def rows(self, sl: slice) -> "UpdateBatch":
+        """The updates of the rows ``sl``, as views of these arrays."""
+        return UpdateBatch(self.m[sl], self.c[sl], self.lam[sl],
+                           self.is_ncx2[sl], self.fallback[sl])
+
     def _rowwise(self, gauss, ncx2):
         """Tuple from ``gauss()`` or ``ncx2(lam)``, picked by each row's law."""
         if not np.any(self.is_ncx2):

@@ -10,7 +10,8 @@ dist-error   implied-vs-reference terminal cdf error profile
 
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
-and require it where a reference is simulated.  A ``--config`` file of
+and require it where a reference is simulated (``dist-error`` refuses the
+Monte Carlo flags for GBM, whose reference is exact).  A ``--config`` file of
 ``key=value`` lines supplies defaults that explicit flags override: each
 key is a long flag name without ``--`` (``N=200``, ``iters-rmq=10``,
 ``lambda=4``) and is checked exactly like that flag.
@@ -20,7 +21,6 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import nullcontext
@@ -49,6 +49,8 @@ CONVERGENCE_SCHEMA = "rmquant.convergence.v1"
 DIST_ERROR_SCHEMA = "rmquant.dist-error.v1"
 
 ALL_SCHEMES = tuple(SCHEME_BUILDERS)
+MC_PATHS = 1_000_000    # Monte Carlo reference defaults
+MC_STEPS = 1200
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -99,9 +101,10 @@ def _model_args(sp):
                     help="CEV instantaneous lognormal volatility")
 
 
-def _run_args(sp, default_n=200):
+def _run_args(sp, default_n=200, with_k=True):
     sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--K", type=int, default=12)
+    if with_k:
+        sp.add_argument("--K", type=int, default=12)
     sp.add_argument("--N", type=int, default=default_n)
     sp.add_argument("--iters-vq", type=int, default=50, dest="iters_vq")
     sp.add_argument("--iters-rmq", type=int, default=5, dest="iters_rmq")
@@ -112,9 +115,16 @@ def _run_args(sp, default_n=200):
 def _mc_args(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for Monte Carlo references")
-    sp.add_argument("--mc-paths", type=int, default=1_000_000,
-                    dest="mc_paths")
-    sp.add_argument("--mc-steps", type=int, default=1200, dest="mc_steps")
+    sp.add_argument("--mc-paths", type=int, default=None, dest="mc_paths",
+                    help=f"Monte Carlo paths (default {MC_PATHS})")
+    sp.add_argument("--mc-steps", type=int, default=None, dest="mc_steps",
+                    help=f"Monte Carlo time steps (default {MC_STEPS})")
+
+
+def _mc_sizes(ns):
+    """(paths, steps) of a Monte Carlo reference, defaults filled in."""
+    return (MC_PATHS if ns.mc_paths is None else ns.mc_paths,
+            MC_STEPS if ns.mc_steps is None else ns.mc_steps)
 
 
 def _common_args(sp):
@@ -169,12 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(price)
     price.set_defaults(func=cmd_price)
 
-    conv = sub.add_parser("convergence", help="weak-order slope study")
+    # No abbreviations here: "--K" would silently read as "--K-list".
+    conv = sub.add_parser("convergence", help="weak-order slope study",
+                          allow_abbrev=False)
     conv.add_argument("--schemes", type=_parse_schemes, default=list(ALL_SCHEMES))
     conv.add_argument("--K-list", type=_parse_int_list,
                       default=[2, 4, 8, 16, 32, 64], dest="k_list")
     _model_args(conv)
-    _run_args(conv, default_n=1000)
+    _run_args(conv, default_n=1000, with_k=False)
     _common_args(conv)
     conv.set_defaults(func=cmd_convergence)
 
@@ -213,8 +225,8 @@ def _build_model(ns):
     return cev_model(params), params
 
 
-def _schedule(ns) -> Schedule:
-    return Schedule(T=ns.T, K=ns.K, n_per_step=ns.N,
+def _schedule(ns, K: int) -> Schedule:
+    return Schedule(T=ns.T, K=K, n_per_step=ns.N,
                     n_max_vq=ns.iters_vq, n_max_rmq=ns.iters_rmq)
 
 
@@ -275,7 +287,7 @@ def cmd_vq(ns) -> int:
 
 def cmd_rmq(ns) -> int:
     model, params = _build_model(ns)
-    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns), ns.boundary)
+    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     with _open_out(ns) as fh:
         if ns.format == "json":
             seq.dump_json(fh)
@@ -299,7 +311,7 @@ def cmd_price(ns) -> int:
         print(f"price: {what} references need --seed", file=sys.stderr)
         return EXIT_USAGE
     model, params = _build_model(ns)
-    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns), ns.boundary)
+    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     kind = ns.kind
     r = ns.r
     atm = ns.strike if ns.strike is not None else params.s0
@@ -307,8 +319,9 @@ def cmd_price(ns) -> int:
                else np.array([atm]))
     mc_boundary = ns.boundary if ns.model == "cev" else "free"
     if mc_ref:
-        stride = _monitoring_stride(ns.mc_steps, ns.K) if barrier else 1
-        cfg = McConfig(paths=ns.mc_paths, steps=ns.mc_steps, seed=ns.seed,
+        paths, steps = _mc_sizes(ns)
+        stride = _monitoring_stride(steps, ns.K) if barrier else 1
+        cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
                        monitoring_stride=stride)
         mc = simulate_terminal(model, params.s0, ns.T, cfg, mc_boundary,
                                want_running_max=barrier)
@@ -368,8 +381,8 @@ def cmd_convergence(ns) -> int:
     for scheme in ns.schemes:
         errs = []
         for K in ns.k_list:
-            sched = dataclasses.replace(_schedule(ns), K=K)
-            seq = rmq_run(model, scheme, params.s0, sched, ns.boundary)
+            seq = rmq_run(model, scheme, params.s0, _schedule(ns, K),
+                          ns.boundary)
             err = abs(seq.terminal_mean() - target)
             errs.append(max(err, 1e-300))
             rows.append({"scheme": scheme, "kind": "point", "K": K,
@@ -384,6 +397,16 @@ def cmd_convergence(ns) -> int:
 
 
 def cmd_dist_error(ns) -> int:
+    if ns.model == "gbm":
+        given = [flag for flag, v in (("--seed", ns.seed),
+                                      ("--mc-paths", ns.mc_paths),
+                                      ("--mc-steps", ns.mc_steps))
+                 if v is not None]
+        if given:
+            print(f"dist-error: {', '.join(given)} only apply to the CEV "
+                  f"Monte Carlo reference; GBM uses the exact marginal",
+                  file=sys.stderr)
+            return EXIT_USAGE
     model, params = _build_model(ns)
     if ns.model == "gbm":
         ref = gbm_exact_marginal(params, ns.T)
@@ -396,15 +419,16 @@ def cmd_dist_error(ns) -> int:
         if ns.seed is None:
             print("dist-error: CEV references need --seed", file=sys.stderr)
             return EXIT_USAGE
-        ref = empirical_cdf(model, params.s0, ns.T, ns.mc_paths, ns.seed,
-                            steps=ns.mc_steps, boundary=ns.boundary)
+        paths, steps = _mc_sizes(ns)
+        ref = empirical_cdf(model, params.s0, ns.T, paths, ns.seed,
+                            steps=steps, boundary=ns.boundary)
         lo, hi = None, None  # set from the first scheme's terminal grid
 
     rows = []
     sups = []
     grid = None
     for scheme in ns.schemes:
-        seq = rmq_run(model, scheme, params.s0, _schedule(ns), ns.boundary)
+        seq = rmq_run(model, scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
         if seq.n_steps > 1:
             # terminal law implied by the next-to-last quantizer
             prev, zero_mass = seq.live_quantizer(seq.n_steps - 1)

@@ -13,25 +13,32 @@ their numerical machinery (only the normal cdf is common):
 Random stream discipline: path ``p`` always consumes the same slots of a
 Philox counter stream keyed by the seed, so enlarging the path count
 extends results without reshuffling earlier paths, and chunked generation
-is bit-identical to one-shot generation.
+is bit-identical to one-shot generation.  That makes the paths' chunks
+independent: ``simulate_terminal`` runs them on the thread pool of
+``rmquant._pool`` and concatenates them in path order, so its output is
+the same at any worker count.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
+from . import _pool
 from .distributions import ScalarDistribution
 from .pricing import BarrierSpec, VanillaPayoff
 from .sde_models import SdeModel
 
-_CHUNK_PATHS = 16384  # keeps the per-chunk normal matrix around 150 MB at 1200 steps
+# Paths in flight at once: each of the pool's workers simulates a chunk of
+# _CHUNK_PATHS / workers paths, so the chunks' normal matrices together
+# stay around 150 MB at 1200 steps whatever the worker count.
+_CHUNK_PATHS = 16384
 
 
 @dataclass(frozen=True)
@@ -121,11 +128,10 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         p = model.params
         loc = (p.r - 0.5 * p.sigma ** 2) * dt
         scale = p.sigma * sq
+    chunk = _CHUNK_PATHS // _pool.workers()
 
-    terminal: List[np.ndarray] = []
-    running: List[np.ndarray] = []
-    for start in range(0, cfg.paths, _CHUNK_PATHS):
-        n = min(_CHUNK_PATHS, cfg.paths - start)
+    def run(start):
+        n = min(chunk, cfg.paths - start)
         z = path_normals(cfg.seed, start, n, cfg.steps)
         s = np.full(n, float(s0))
         smax = np.full(n, float(s0))
@@ -146,9 +152,9 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
                     s = s_new
             if want_running_max and (j + 1) % cfg.monitoring_stride == 0:
                 np.maximum(smax, s, out=smax)
-        terminal.append(s)
-        if want_running_max:
-            running.append(smax)
+        return s, smax
+
+    terminal, running = zip(*_pool.pmap(run, range(0, cfg.paths, chunk)))
     term = np.concatenate(terminal)
     if want_running_max:
         return term, np.concatenate(running)

@@ -30,6 +30,7 @@ from typing import IO, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _pool
 from ._newton import damped_newton, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
 from .sde_models import SdeModel
@@ -43,6 +44,7 @@ BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 PROB_FLOOR = 1e-14  # previous-step components below this are skipped
 ROW_SUM_TOL = 1e-12  # loaded transition rows may exceed mass 1 by this
 MARKOV_TOL = 1e-10  # loaded |p_k P_k - p_{k+1}| may not exceed this
+_BLOCK_CELLS = 65536  # law cells per row block of the transition assembly
 
 GRID_SCHEMA = "rmquant.grid.v1"
 SEQUENCE_SCHEMA = "rmquant.sequence.v1"
@@ -135,17 +137,52 @@ def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
     return z, xbar
 
 
-def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
-                boundary: str) -> TransitionSet:
-    """P, M and inner-density matrices for one candidate next grid."""
-    edges = voronoi_edges(next_codewords, *_support(boundary))
-    f, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
-    P = np.subtract(F[:, 1:], F[:, :-1])
+def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str,
+              out=(None, None, None)):
+    """(P, M, f) of the rows of ``batch``, with f at every edge.
+
+    Fresh matrices unless ``out`` holds three to write them into.
+    """
+    P, M, f = out
+    fz, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
+    P = np.subtract(F[:, 1:], F[:, :-1], out=P)
     if not np.all(batch.m > 0.0):
         P *= np.sign(batch.m)[:, None]
     np.maximum(P, 0.0, out=P)
-    return TransitionSet(P=P, M=np.subtract(M1[:, 1:], M1[:, :-1]),
-                         f=f[:, 1:-1])
+    M = np.subtract(M1[:, 1:], M1[:, :-1], out=M)
+    if f is None:
+        return P, M, fz
+    f[:, 1:-1] = fz[:, 1:-1]
+    return P, M, f
+
+
+def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
+                boundary: str) -> TransitionSet:
+    """P, M and inner-density matrices for one candidate next grid.
+
+    Every row depends on its own update alone, so large matrices are
+    assembled in row blocks of about ``_BLOCK_CELLS`` cells spread over the
+    thread pool; each cell gets the same bits as in one whole-matrix pass.
+    A matrix of one block takes that pass directly, into fresh arrays
+    (writing it into preallocated ones costs page faults on every call).
+    """
+    edges = voronoi_edges(next_codewords, *_support(boundary))
+    n, rows = batch.size, -(-_BLOCK_CELLS // edges.size)
+    if n <= rows:
+        P, M, f = _assemble(batch, edges, boundary)
+    else:
+        # f keeps the layout of a whole-matrix pass: the inner columns of
+        # an n x (N+1) array, which the evaluator's matvec reads.
+        out = (np.empty((n, edges.size - 1)), np.empty((n, edges.size - 1)),
+               np.empty((n, edges.size)))
+
+        def fill(lo):
+            sl = slice(lo, lo + rows)
+            _assemble(batch.rows(sl), edges, boundary, tuple(a[sl] for a in out))
+
+        _pool.pmap(fill, range(0, n, rows))
+        P, M, f = out
+    return TransitionSet(P=P, M=M, f=f[:, 1:-1])
 
 
 def transition_set(prev: Quantizer, batch: UpdateBatch, next_codewords,

@@ -1,5 +1,15 @@
-import numpy as np
-import pytest
+import os
+
+# Idle OpenBLAS workers spin on the other cores after every threaded call.
+# The suite's BLAS work is matrix-vector products that gain nothing from
+# them, and the spinning takes the cores that rmquant's own thread pool
+# computes on; the benchmark pins BLAS the same way.  Set before numpy
+# loads; an explicit setting in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from rmquant import CevParams, GbmParams, cev_model, gbm_model
 

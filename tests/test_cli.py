@@ -202,6 +202,13 @@ class TestConvergence:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_step_count_flag_is_refused(self, tmp_path):
+        # The step counts come from --K-list alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--schemes", "euler", "--K", "12",
+                  "--K-list", "2,4,8", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
 
 class TestDistError:
     def test_gbm_profile(self, tmp_path):
@@ -217,6 +224,15 @@ class TestDistError:
         assert sups["weak2"] < sups["euler"] < 0.1
         points = [r for r in rows if r["kind"] == "point"]
         assert len(points) == 2 * 200
+
+    @pytest.mark.parametrize("flag", ["--seed", "--mc-paths", "--mc-steps"])
+    def test_gbm_refuses_monte_carlo_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "de.csv"
+        rc = main(["dist-error", "--model", "gbm", "--N", "20",
+                   "--grid-points", "10", flag, "12", "--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cev_requires_seed(self, tmp_path):
         rc = main(["dist-error", "--model", "cev",
