@@ -6,14 +6,12 @@ from .affine_schemes import (AffineUpdate, UpdateBatch, euler_update,
 from .distributions import (Ncx2Params, ScalarDistribution, ncx2_1_funcs,
                             reflect_funcs, std_normal_funcs)
 from .oracles import (FdConfig, McConfig, black_scholes, cn_bermudan,
-                      empirical_cdf, mc_price)
+                      empirical_cdf)
 from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
                       bermudan_price, european_price)
 from .rmq_engine import (ABSORBING, FREE, REFLECTING, CodewordDomainError,
                          QuantizationSequence, RmqError, Schedule,
-                         TransitionSet, implied_marginal_cdf,
-                         load_sequence_json, mixture_distortion, rmq_run,
-                         transition_set)
+                         implied_marginal_cdf, load_sequence_json, rmq_run)
 from .sde_models import (CevParams, GbmParams, SdeModel, cev_model,
                          gbm_exact_marginal, gbm_model)
 from .vq1d import (Quantizer, RegionBounds, distortion, distortion_gradient,

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (ncx2_fFM, ncx2_m2, norm_fFM, norm_m2, reflect_fFM,
-                            reflect_m2)
+from .distributions import ncx2_fFM, norm_fFM, reflect_fFM
 from .sde_models import SdeModel
 
 GAUSSIAN = "gaussian"
@@ -121,17 +120,6 @@ class UpdateBatch:
             return self._base_fFM(z)
         return reflect_fFM(self._base_fFM, z,
                            np.asarray(xbar, dtype=float)[:, None])
-
-    def law_m2(self, z, xbar=None):
-        """Second lower partial expectation, for distortion estimates."""
-        def base(v):
-            return self._rowwise(lambda: (norm_m2(v),),
-                                 lambda lam: (ncx2_m2(v, lam),))[0]
-
-        if xbar is None:
-            return base(z)
-        return reflect_m2(base, self._base_fFM, z,
-                          np.asarray(xbar, dtype=float)[:, None])
 
 
 def euler_updates(model: SdeModel, x, dt: float) -> UpdateBatch:

@@ -10,8 +10,8 @@ dist-error   implied-vs-reference terminal cdf error profile
 
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
-and require it where a reference is simulated (``dist-error`` refuses the
-Monte Carlo flags for GBM, whose reference is exact).  A ``--config`` file of
+and require it where a reference is simulated.  A flag that the run would
+not read is a usage error, not silently dropped.  A ``--config`` file of
 ``key=value`` lines supplies defaults that explicit flags override: each
 key is a long flag name without ``--`` (``N=200``, ``iters-rmq=10``,
 ``lambda=4``) and is checked exactly like that flag.
@@ -51,6 +51,8 @@ DIST_ERROR_SCHEMA = "rmquant.dist-error.v1"
 ALL_SCHEMES = tuple(SCHEME_BUILDERS)
 MC_PATHS = 1_000_000    # Monte Carlo reference defaults
 MC_STEPS = 1200
+FD_FLAGS = ("--fd-time-steps", "--fd-space-steps", "--fd-smax-mult")
+FD_DEFAULTS = (600, 800, 4.0)   # Crank-Nicolson reference, FdConfig order
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -127,6 +129,23 @@ def _mc_sizes(ns):
             MC_STEPS if ns.mc_steps is None else ns.mc_steps)
 
 
+def _mc_flags(ns):
+    return {"--seed": ns.seed, "--mc-paths": ns.mc_paths, "--mc-steps": ns.mc_steps}
+
+
+def _refuse_unread(command: str, rules) -> bool:
+    """True, with the flags named on stderr, if this run was given flags
+    it would not read.  ``rules`` holds ``(applies, reason, {flag: value})``;
+    where a rule applies, the flags whose value is not None are refused."""
+    refused = False
+    for applies, reason, flags in rules:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if applies and given:
+            print(f"{command}: {', '.join(given)}: {reason}", file=sys.stderr)
+            refused = True
+    return refused
+
+
 def _common_args(sp):
     sp.add_argument("--config", help="key=value defaults file")
     sp.add_argument("--out", help="output path (default: stdout)")
@@ -167,12 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strike grid as multiples of s0 (start:stop:count)")
     price.add_argument("--levels", type=_parse_range, default=None,
                        help="barrier levels as multiples of the strike")
-    price.add_argument("--fd-time-steps", type=int, default=600,
-                       dest="fd_time_steps")
-    price.add_argument("--fd-space-steps", type=int, default=800,
-                       dest="fd_space_steps")
-    price.add_argument("--fd-smax-mult", type=float, default=4.0,
-                       dest="fd_smax_mult")
+    for flag, default in zip(FD_FLAGS, FD_DEFAULTS):
+        price.add_argument(flag, type=type(default), default=None,
+                           help=f"bermudan reference grid (default {default})")
     _mc_args(price)
     _model_args(price)
     _run_args(price)
@@ -262,6 +278,9 @@ def _write_table(ns, schema: str, columns: List[str], rows: List[dict]):
 # ----------------------------------------------------------------------
 
 def cmd_vq(ns) -> int:
+    if _refuse_unread("vq", [(ns.dist == "normal", "only ncx2 has a noncentrality",
+                              {"--lambda": ns.lam})]):
+        return EXIT_USAGE
     if ns.dist == "ncx2":
         if ns.lam is None:
             print("vq: --dist ncx2 requires --lambda", file=sys.stderr)
@@ -306,6 +325,18 @@ def _monitoring_stride(mc_steps: int, K: int) -> int:
 def cmd_price(ns) -> int:
     barrier = ns.instrument == "barrier"
     mc_ref = barrier or (ns.instrument == "european" and ns.model == "cev")
+    fd = (ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
+    if _refuse_unread("price", [
+            (ns.strikes is not None, "cannot be combined with --strikes",
+             {"--strike": ns.strike}),
+            (barrier, "barrier takes its one strike from --strike",
+             {"--strikes": ns.strikes}),
+            (not barrier, "only barrier has levels", {"--levels": ns.levels}),
+            (ns.instrument != "bermudan", "only bermudan has a "
+             "finite-difference reference", dict(zip(FD_FLAGS, fd))),
+            (not mc_ref, "only barrier and CEV european "
+             "have a Monte Carlo reference", _mc_flags(ns))]):
+        return EXIT_USAGE
     if mc_ref and ns.seed is None:
         what = "barrier" if barrier else "CEV european"
         print(f"price: {what} references need --seed", file=sys.stderr)
@@ -346,9 +377,7 @@ def cmd_price(ns) -> int:
             add_row(strike, european_price(seq, payoff, r), ref, se)
     elif ns.instrument == "bermudan":
         dates = [k * ns.T / ns.K for k in range(1, ns.K)]
-        fd_cfg = FdConfig(time_steps=ns.fd_time_steps,
-                          space_steps=ns.fd_space_steps,
-                          s_max_mult=ns.fd_smax_mult)
+        fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
         for strike in strikes:
             payoff = VanillaPayoff(kind=kind, strike=float(strike))
             add_row(strike, bermudan_price(seq, payoff, r),
@@ -397,16 +426,10 @@ def cmd_convergence(ns) -> int:
 
 
 def cmd_dist_error(ns) -> int:
-    if ns.model == "gbm":
-        given = [flag for flag, v in (("--seed", ns.seed),
-                                      ("--mc-paths", ns.mc_paths),
-                                      ("--mc-steps", ns.mc_steps))
-                 if v is not None]
-        if given:
-            print(f"dist-error: {', '.join(given)} only apply to the CEV "
-                  f"Monte Carlo reference; GBM uses the exact marginal",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    if _refuse_unread("dist-error", [
+            (ns.model == "gbm", "only CEV has a Monte Carlo reference; "
+             "GBM uses the exact marginal", _mc_flags(ns))]):
+        return EXIT_USAGE
     model, params = _build_model(ns)
     if ns.model == "gbm":
         ref = gbm_exact_marginal(params, ns.T)

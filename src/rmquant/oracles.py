@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from . import _pool
 from .distributions import ScalarDistribution
-from .pricing import BarrierSpec, VanillaPayoff
+from .pricing import VanillaPayoff
 from .sde_models import SdeModel
 
 # Paths in flight at once: each of the pool's workers simulates a chunk of
@@ -159,28 +159,6 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
     if want_running_max:
         return term, np.concatenate(running)
     return term
-
-
-def mc_price(model: SdeModel, s0: float, T: float, r: float,
-             instrument: Union[str, BarrierSpec], payoff: VanillaPayoff,
-             cfg: McConfig, boundary: str = "free",
-             stepping: str = "euler") -> Tuple[float, float]:
-    """Monte Carlo price and standard error of a European or barrier claim.
-
-    ``instrument`` is ``"european"`` or a :class:`BarrierSpec`; barrier
-    claims are knocked out when the monitored maximum (inception included)
-    reaches the level.
-    """
-    if isinstance(instrument, BarrierSpec):
-        term, smax = simulate_terminal(model, s0, T, cfg, boundary, stepping,
-                                       want_running_max=True)
-        vals = payoff.values(term) * (smax < instrument.level)
-    elif instrument == "european":
-        term = simulate_terminal(model, s0, T, cfg, boundary, stepping)
-        vals = payoff.values(term)
-    else:
-        raise ValueError(f"unknown instrument {instrument!r}")
-    return mc_estimate(np.exp(-r * T) * vals)
 
 
 def mc_estimate(vals: np.ndarray) -> Tuple[float, float]:

@@ -10,7 +10,6 @@ sequence is safe to run concurrently: nothing here mutates the sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,17 +18,14 @@ from .rmq_engine import QuantizationSequence
 
 @dataclass(frozen=True)
 class VanillaPayoff:
-    """Terminal payoff: call / put with a strike, or a custom function."""
+    """Terminal payoff: call or put with a strike."""
 
     kind: str
     strike: float = 0.0
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("call", "put", "custom"):
+        if self.kind not in ("call", "put"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom payoff needs a function")
         if self.strike < 0.0:
             raise ValueError("strike must be >= 0")
 
@@ -37,9 +33,7 @@ class VanillaPayoff:
         s = np.asarray(s, dtype=float)
         if self.kind == "call":
             return np.maximum(s - self.strike, 0.0)
-        if self.kind == "put":
-            return np.maximum(self.strike - s, 0.0)
-        return np.asarray(self.fn(s), dtype=float)
+        return np.maximum(self.strike - s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -47,13 +41,10 @@ class BarrierSpec:
     """Up-and-out barrier monitored at the sequence's step times."""
 
     level: float
-    direction: str = "up-and-out"
 
     def __post_init__(self):
         if not self.level > 0.0:
             raise ValueError("barrier level must be positive")
-        if self.direction != "up-and-out":
-            raise ValueError("only up-and-out barriers are supported")
 
 
 def european_price(seq: QuantizationSequence, payoff: VanillaPayoff,

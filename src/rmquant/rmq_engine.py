@@ -25,8 +25,9 @@ applied and every innovation law is replaced by its reflection about
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import IO, List, NamedTuple, Optional, Sequence, Union
+from typing import IO, List, Optional
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from . import _pool
 from ._newton import damped_newton, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
 from .sde_models import SdeModel
-from .vq1d import Quantizer, checked_grid, initial_guess
+from .vq1d import Quantizer, initial_guess
 
 FREE = "free"
 ABSORBING = "absorbing"
@@ -68,46 +69,26 @@ class Schedule:
 
     T: float
     K: int
-    n_per_step: Union[int, Sequence[int]] = 200
+    n_per_step: int = 200   # the cardinality of every step's quantizer
     n_max_vq: int = 50
     n_max_rmq: int = 5
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValueError("T must be positive")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.n_max_vq < 1 or self.n_max_rmq < 1:
-            raise ValueError("iteration budgets must be >= 1")
-        ns = self.n_per_step
-        if np.isscalar(ns):
-            if int(ns) < 1:
-                raise ValueError("cardinality must be >= 1")
-        else:
-            ns = [int(v) for v in ns]
-            if len(ns) != self.K:
-                raise ValueError("n_per_step must have one entry per step")
-            if any(v < 1 for v in ns):
-                raise ValueError("cardinality must be >= 1")
-            object.__setattr__(self, "n_per_step", tuple(ns))
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
+        for name in ("K", "n_per_step", "n_max_vq", "n_max_rmq"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def dt(self) -> float:
         return self.T / self.K
-
-    def n_at(self, k: int) -> int:
-        """Cardinality of the step-k quantizer (1-based k)."""
-        if np.isscalar(self.n_per_step):
-            return int(self.n_per_step)
-        return self.n_per_step[k - 1]
-
-
-class TransitionSet(NamedTuple):
-    """Transition, partial-moment and boundary-density matrices."""
-
-    P: np.ndarray   # (N_k, N_next) transition probabilities
-    M: np.ndarray   # (N_k, N_next) first-partial-moment increments
-    f: np.ndarray   # (N_k, N_next - 1) densities at inner boundaries
 
 
 def _validate_boundary(boundary: str):
@@ -121,10 +102,6 @@ def _require_positive_scale(batch: UpdateBatch, boundary: str):
             "absorbing/reflecting modes require a positive affine scale m "
             "for every state; got min m = %.3g" % float(np.min(batch.m))
         )
-
-
-def _support(boundary: str):
-    return (-np.inf if boundary == FREE else 0.0, np.inf)
 
 
 def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
@@ -157,8 +134,10 @@ def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str,
 
 
 def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
-                boundary: str) -> TransitionSet:
-    """P, M and inner-density matrices for one candidate next grid.
+                boundary: str):
+    """(P, M, f) on one candidate next grid: transition probabilities and
+    first-partial-moment increments, N_k x N_next, and the densities at the
+    inner boundaries, N_k x (N_next - 1).
 
     Every row depends on its own update alone, so large matrices are
     assembled in row blocks of about ``_BLOCK_CELLS`` cells spread over the
@@ -166,7 +145,8 @@ def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
     A matrix of one block takes that pass directly, into fresh arrays
     (writing it into preallocated ones costs page faults on every call).
     """
-    edges = voronoi_edges(next_codewords, *_support(boundary))
+    edges = voronoi_edges(next_codewords,
+                          -np.inf if boundary == FREE else 0.0, np.inf)
     n, rows = batch.size, -(-_BLOCK_CELLS // edges.size)
     if n <= rows:
         P, M, f = _assemble(batch, edges, boundary)
@@ -182,23 +162,7 @@ def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
 
         _pool.pmap(fill, range(0, n, rows))
         P, M, f = out
-    return TransitionSet(P=P, M=M, f=f[:, 1:-1])
-
-
-def transition_set(prev: Quantizer, batch: UpdateBatch, next_codewords,
-                   boundary: str = FREE) -> TransitionSet:
-    """Transition matrices from ``prev`` onto the grid ``next_codewords``.
-
-    Row i uses the innovation law of update i.  In ``free`` and
-    ``reflecting`` modes each row sums to one; in ``absorbing`` mode row i
-    sums to one minus the mass absorbed at zero from state i.
-    """
-    _validate_boundary(boundary)
-    if batch.size != prev.size:
-        raise ValueError("updates must align with the previous quantizer")
-    _require_positive_scale(batch, boundary)
-    gam = checked_grid(next_codewords, _support(boundary))
-    return _z_matrices(batch, gam, boundary)
+    return P, M, f[:, 1:-1]
 
 
 def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
@@ -210,26 +174,12 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     p_f = pw / absm
 
     def evaluate(gam: np.ndarray):
-        ts = _z_matrices(batch, gam, boundary)
-        return step_eval(gam, pw @ ts.P, p_c @ ts.P, p_m @ ts.M, p_f @ ts.f,
-                         aux=ts)
+        # aux keeps M and f alive with P: freed at once, their pages go back
+        # to the OS and every evaluation faults them in again (N=200: +25%).
+        P, M, f = mats = _z_matrices(batch, gam, boundary)
+        return step_eval(gam, pw @ P, p_c @ P, p_m @ M, p_f @ f, aux=mats)
 
     return evaluate
-
-
-def mixture_distortion(next_codewords, prev: Quantizer, batch: UpdateBatch,
-                       boundary: str = FREE) -> float:
-    """Distortion of the grid under the conditional mixture (diagnostic)."""
-    _validate_boundary(boundary)
-    gam = checked_grid(next_codewords, _support(boundary))
-    P, M, _ = _z_matrices(batch, gam, boundary)
-    edges = voronoi_edges(gam, *_support(boundary))
-    M2 = batch.law_m2(*_normalized_edges(batch, edges, boundary))
-    dM2 = np.sign(batch.m)[:, None] * (M2[:, 1:] - M2[:, :-1])
-    gc = gam[None, :] - batch.c[:, None]
-    absm = np.abs(batch.m)[:, None]
-    comp = gc * gc * P - 2.0 * gc * absm * M + (absm * absm) * dM2
-    return float(prev.probabilities @ comp.sum(axis=1))
 
 
 def implied_marginal_cdf(x, prev: Quantizer, batch: UpdateBatch,
@@ -292,10 +242,6 @@ class QuantizationSequence:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(1, self.n_steps + 1)
 
     def terminal_mean(self) -> float:
         """First moment of the final-step quantizer."""
@@ -361,8 +307,7 @@ class QuantizationSequence:
         probabilities = [np.asarray(s["probabilities"], dtype=float)
                          for s in doc["steps"]]
         transitions = [np.asarray(P, dtype=float) for P in doc["transitions"]]
-        _check_chain(codewords, probabilities, transitions, doc["boundary"],
-                     doc.get("zero_state_mass"))
+        _check_chain(doc, codewords, probabilities, transitions)
         return cls(
             scheme=doc["scheme"],
             boundary=doc["boundary"],
@@ -383,13 +328,19 @@ def _require_fields(doc: dict, *names: str):
                          f"{', '.join(map(repr, missing))}")
 
 
-def _check_chain(codewords, probabilities, transitions, boundary,
-                 zero_state_mass=None):
-    """Raise ValueError unless the arrays form a consistent Markov chain."""
+def _check_chain(doc, codewords, probabilities, transitions):
+    """Raise ValueError unless the header fields of ``doc`` are usable and
+    the arrays read from it form a consistent Markov chain."""
     def need(ok, what):
         if not ok:
             raise ValueError(f"inconsistent sequence: {what}")
 
+    s0, horizon, scheme = doc["s0"], doc["horizon"], doc["scheme"]
+    need(isinstance(s0, (int, float)) and np.isfinite(s0),
+         f"s0 {s0!r} is not a finite number")
+    need(isinstance(horizon, (int, float)) and 0.0 < horizon < np.inf,
+         f"horizon {horizon!r} is not a positive finite number")
+    need(scheme in tuple(SCHEME_BUILDERS), f"unknown scheme {scheme!r}")
     need(codewords and len(transitions) == len(codewords) - 1,
          f"{len(codewords)} grids but {len(transitions)} transition matrices")
     for k, (cw, p) in enumerate(zip(codewords, probabilities), start=1):
@@ -407,16 +358,16 @@ def _check_chain(codewords, probabilities, transitions, boundary,
         drift = np.max(np.abs(probabilities[k - 1] @ P - probabilities[k]))
         need(drift <= MARKOV_TOL,
              f"step {k + 1} probabilities differ from p_{k} P_{k} by {drift:.3g}")
-    need(boundary in BOUNDARY_MODES, f"unknown boundary {boundary!r}")
-    if boundary != ABSORBING:
+    need(doc["boundary"] in BOUNDARY_MODES, f"unknown boundary {doc['boundary']!r}")
+    if doc["boundary"] != ABSORBING:
         return
     for k, cw in enumerate(codewords, start=1):
         need(cw[0] == 0.0, f"step {k} does not start with the zero state")
     for k, P in enumerate(transitions, start=1):
         need(P[0, 0] == 1.0 and np.all(P[0, 1:] == 0.0),
              f"transition {k} does not keep the zero state absorbing")
-    if zero_state_mass is not None:
-        zs = np.asarray(zero_state_mass, dtype=float)
+    if doc.get("zero_state_mass") is not None:
+        zs = np.asarray(doc["zero_state_mass"], dtype=float)
         p0 = np.array([p[0] for p in probabilities])
         need(zs.shape == p0.shape and np.all(np.abs(zs - p0) <= MARKOV_TOL),
              "zero_state_mass differs from the zero state's probabilities")
@@ -440,13 +391,6 @@ def _step1_guess(batch: UpdateBatch, n: int, boundary: str) -> np.ndarray:
         lo = g[-1] * 1e-8
         g = lo + (g - g[0]) * (g[-1] - lo) / (g[-1] - g[0])
     return g
-
-
-def _resample_grid(grid: np.ndarray, n: int) -> np.ndarray:
-    if grid.size == n:
-        return grid
-    src = np.linspace(0.0, 1.0, grid.size)
-    return np.interp(np.linspace(0.0, 1.0, n), src, grid)
 
 
 def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
@@ -494,17 +438,16 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     for k in range(1, sched.K + 1):
         batch = build(model, prev_cw, dt)
         _require_positive_scale(batch, boundary)
-        n_next = sched.n_at(k)
         if k == 1:
-            guess = _step1_guess(batch, n_next, boundary)
+            guess = _step1_guess(batch, sched.n_per_step, boundary)
             n_iter = sched.n_max_vq
         else:
-            guess = _resample_grid(prev_cw, n_next)
+            guess = prev_cw
             n_iter = sched.n_max_rmq
         evaluate = _mixture_evaluator(prev_p, batch, boundary)
         gam, ev = damped_newton(guess, evaluate, n_iter, lo=newton_lo)
         _check_domain(gam, model, k)
-        P = ev.aux.P
+        P = ev.aux[0]
         p_next = prev_p @ P
         if boundary == ABSORBING:
             aug = np.zeros((P.shape[0] + 1, P.shape[1] + 1))

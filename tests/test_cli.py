@@ -323,6 +323,37 @@ class TestConfigFile:
         assert len(rows) == 5
 
 
+# A barrier run reads the flags of its (small) Monte Carlo reference.
+BARRIER = ["price", "barrier", "--seed", "1", "--mc-paths", "100",
+           "--mc-steps", "12", "--N", "20", "--K", "2"]
+SMALL_GRID = ["--N", "20", "--K", "2"]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["vq", "--dist", "normal", "--lambda", "4"], ["--lambda"]),
+    (["price", "european", "--strike", "90", "--strikes", "1:1.1:2",
+      *SMALL_GRID], ["--strike"]),
+    ([*BARRIER, "--strikes", "1:1.1:2"], ["--strikes"]),
+    (["price", "european", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"]),
+    (["price", "bermudan", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"]),
+    (["price", "european", "--fd-time-steps", "300", *SMALL_GRID],
+     ["--fd-time-steps"]),
+    ([*BARRIER, "--fd-space-steps", "400", "--fd-smax-mult", "5"],
+     ["--fd-space-steps", "--fd-smax-mult"]),
+    (["price", "european", "--seed", "1", *SMALL_GRID], ["--seed"]),
+    (["price", "bermudan", "--mc-paths", "100", "--mc-steps", "12",
+      *SMALL_GRID], ["--mc-paths", "--mc-steps"]),
+], ids=["vq-normal-lambda", "strike-with-strikes", "barrier-strikes",
+        "european-levels", "bermudan-levels", "european-fd", "barrier-fd",
+        "gbm-european-seed", "bermudan-mc"])
+def test_refuses_flags_it_would_not_read(tmp_path, capsys, argv, refused):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in refused)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["vq", "--dist", "normal"], ["rmq"],
                                      ["convergence"]],
                          ids=["vq", "rmq", "convergence"])

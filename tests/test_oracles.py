@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from rmquant import (FdConfig, McConfig, SdeModel, VanillaPayoff,
-                     BarrierSpec, black_scholes, cn_bermudan, empirical_cdf,
-                     gbm_exact_marginal, gbm_model, mc_price)
-from rmquant.oracles import path_normals, simulate_terminal
+                     black_scholes, cn_bermudan, empirical_cdf,
+                     gbm_exact_marginal, gbm_model)
+from rmquant.oracles import mc_estimate, path_normals, simulate_terminal
 
 from conftest import CEV_LOW_ALPHA, GBM
 
 BS_PUT_ATM = 9.354197236057231  # put, s0=K=100, r=5%, sigma=30%, T=1
+
+
+def mc_european(model, payoff, cfg, stepping="euler"):
+    """Monte Carlo price and standard error from s0 = 100 at T = 1, r = 5%."""
+    term = simulate_terminal(model, 100.0, 1.0, cfg, stepping=stepping)
+    return mc_estimate(np.exp(-0.05) * payoff.values(term))
 
 
 class TestBlackScholes:
@@ -57,17 +63,14 @@ class TestPathStreams:
 class TestMcPrice:
     def test_determinism(self, gbm):
         cfg = McConfig(paths=20_000, steps=12, seed=11)
-        a = mc_price(gbm, 100.0, 1.0, 0.05, "european",
-                     VanillaPayoff("put", 100.0), cfg, stepping="gbm_exact")
-        b = mc_price(gbm, 100.0, 1.0, 0.05, "european",
-                     VanillaPayoff("put", 100.0), cfg, stepping="gbm_exact")
+        a = mc_european(gbm, VanillaPayoff("put", 100.0), cfg, "gbm_exact")
+        b = mc_european(gbm, VanillaPayoff("put", 100.0), cfg, "gbm_exact")
         assert a == b
 
     def test_european_put_consistent_with_black_scholes(self, gbm):
         cfg = McConfig(paths=1_000_000, steps=12, seed=5150)
-        price, se = mc_price(gbm, 100.0, 1.0, 0.05, "european",
-                             VanillaPayoff("put", 100.0), cfg,
-                             stepping="gbm_exact")
+        price, se = mc_european(gbm, VanillaPayoff("put", 100.0), cfg,
+                                "gbm_exact")
         assert abs(price - BS_PUT_ATM) < 3.0 * se
         assert se < 0.02
 
@@ -82,8 +85,7 @@ class TestMcPrice:
             state_domain=(0.0, np.inf))
         steps = 50
         cfg = McConfig(paths=100, steps=steps, seed=1)
-        price, se = mc_price(flat, 100.0, 1.0, 0.05, "european",
-                             VanillaPayoff("call", 90.0), cfg)
+        price, se = mc_european(flat, VanillaPayoff("call", 90.0), cfg)
         terminal = 100.0 * (1.0 + 0.05 / steps) ** steps
         assert price == pytest.approx(np.exp(-0.05) * (terminal - 90.0),
                                       rel=1e-12)
@@ -91,20 +93,21 @@ class TestMcPrice:
 
     def test_standard_error_scaling(self, gbm):
         payoff = VanillaPayoff("put", 100.0)
-        _, se_small = mc_price(gbm, 100.0, 1.0, 0.05, "european", payoff,
-                               McConfig(paths=10_000, steps=12, seed=2),
-                               stepping="gbm_exact")
-        _, se_big = mc_price(gbm, 100.0, 1.0, 0.05, "european", payoff,
-                             McConfig(paths=1_000_000, steps=12, seed=2),
-                             stepping="gbm_exact")
+        _, se_small = mc_european(gbm, payoff,
+                                  McConfig(paths=10_000, steps=12, seed=2),
+                                  "gbm_exact")
+        _, se_big = mc_european(gbm, payoff,
+                                McConfig(paths=1_000_000, steps=12, seed=2),
+                                "gbm_exact")
         assert 8.0 <= se_small / se_big <= 12.0
 
     def test_barrier_with_huge_level_matches_european(self, gbm):
         payoff = VanillaPayoff("put", 100.0)
         cfg = McConfig(paths=50_000, steps=24, seed=9, monitoring_stride=2)
-        eu, _ = mc_price(gbm, 100.0, 1.0, 0.05, "european", payoff, cfg)
-        ba, _ = mc_price(gbm, 100.0, 1.0, 0.05, BarrierSpec(level=1e9),
-                         payoff, cfg)
+        eu, _ = mc_european(gbm, payoff, cfg)
+        term, smax = simulate_terminal(gbm, 100.0, 1.0, cfg,
+                                       want_running_max=True)
+        ba, _ = mc_estimate(np.exp(-0.05) * payoff.values(term) * (smax < 1e9))
         assert ba == pytest.approx(eu, abs=1e-12)
 
     def test_cev_boundary_paths_stay_valid(self, cev_low_alpha):

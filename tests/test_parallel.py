@@ -51,7 +51,8 @@ def test_block_assembly_is_bit_identical(monkeypatch, boundary):
         assert a.shape == c.shape
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
-    assert np.all(one.P >= 0.0) and one.P.sum(axis=1).max() <= 1.0 + 1e-12
+    P = one[0]
+    assert np.all(P >= 0.0) and P.sum(axis=1).max() <= 1.0 + 1e-12
 
 
 def test_monte_carlo_chunks_are_bit_identical(monkeypatch):

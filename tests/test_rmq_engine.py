@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rmquant import (CodewordDomainError, Schedule, UpdateBatch,
-                     european_price, implied_marginal_cdf, load_sequence_json,
-                     mixture_distortion, rmq_run, transition_set)
+from rmquant import (CodewordDomainError, Ncx2Params, RmqError, Schedule,
+                     UpdateBatch, european_price, implied_marginal_cdf,
+                     load_sequence_json, ncx2_1_funcs, rmq_run,
+                     std_normal_funcs)
 from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
-from rmquant.rmq_engine import _mixture_evaluator
-from rmquant.vq1d import (Quantizer, distortion_gradient, distortion_hessian,
+from rmquant.rmq_engine import _mixture_evaluator, _z_matrices
+from rmquant.vq1d import (Quantizer, checked_grid, distortion,
+                          distortion_gradient, distortion_hessian,
                           newton_quantize)
-from rmquant.distributions import ScalarDistribution, norm_fFM
+from rmquant.distributions import ScalarDistribution
 
 from conftest import CEV_LOW_ALPHA
 
@@ -29,12 +31,36 @@ def batch(*rows):
                        fallback=[False] * len(rows))
 
 
-def gaussian_law(m, c):
-    """The law of m Z + c, Z standard normal, for m > 0."""
+def affine_law(base, m, c):
+    """The law of m Z + c, Z ~ ``base``, on the real line.
+
+    For m < 0 the cdf and partial moments are those of the law up to sign
+    and an additive constant, which cancel in the region differences that
+    quantization reads.
+    """
+    s = np.sign(m)
+
+    def z(x):
+        return (np.asarray(x, dtype=float) - c) / m
+
     def fFM(x):
-        f, F, M1 = norm_fFM((np.asarray(x, dtype=float) - c) / m)
-        return f / m, F, c * F + m * M1
-    return ScalarDistribution(fFM=fFM)
+        f, F, M1 = base.fFM(z(x))
+        return f / abs(m), s * F, s * (c * F + m * M1)
+
+    def m2(x):
+        _, F, M1 = base.fFM(z(x))
+        return s * (c * c * F + 2.0 * c * m * M1 + m * m * base.m2(z(x)))
+
+    return ScalarDistribution(fFM=fFM, m2=m2)
+
+
+def mixture_distortion(gam, prev, updates):
+    """Distortion of ``gam`` under sum_i p_i law(m_i Z_i + c_i), summed one
+    component at a time with the single-law :func:`distortion`."""
+    return sum(p * distortion(affine_law(
+        ncx2_1_funcs(Ncx2Params(lam)) if nc else std_normal_funcs(), m, c), gam)
+        for p, m, c, lam, nc in zip(prev.probabilities, updates.m, updates.c,
+                                    updates.lam, updates.is_ncx2))
 
 
 def small_mixture():
@@ -46,19 +72,19 @@ def small_mixture():
 
 class TestSchedule:
     def test_dt_and_cardinalities(self):
-        s = Schedule(T=1.0, K=4, n_per_step=[10, 20, 30, 40])
+        s = Schedule(T=1.0, K=np.int64(4), n_per_step=np.int32(10))
         assert s.dt == 0.25
-        assert [s.n_at(k) for k in (1, 2, 3, 4)] == [10, 20, 30, 40]
+        assert (s.K, s.n_per_step) == (4, 10)
+        assert type(s.K) is int and type(s.n_per_step) is int
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Schedule(T=0.0, K=4)
-        with pytest.raises(ValueError):
-            Schedule(T=1.0, K=0)
-        with pytest.raises(ValueError):
-            Schedule(T=1.0, K=3, n_per_step=[10, 20])
-        with pytest.raises(ValueError):
-            Schedule(T=1.0, K=2, n_max_rmq=0)
+        for kwargs in (dict(T=0.0, K=4), dict(T=np.inf, K=4), dict(T=1.0, K=0),
+                       dict(T=1.0, K=2, n_max_rmq=0),
+                       dict(T=1.0, K=3, n_per_step=[10, 20, 30]),
+                       dict(T=1.0, K=2.5), dict(T=1.0, K=4, n_per_step=20.7),
+                       dict(T=1.0, K=4, n_max_vq=5.0)):
+            with pytest.raises(ValueError):
+                Schedule(**kwargs)
 
 
 class TestImpliedMarginalCdf:
@@ -80,39 +106,35 @@ class TestImpliedMarginalCdf:
 
 class TestTransitionSet:
     def test_single_region_captures_all_mass(self):
-        prev, updates, _ = small_mixture()
-        ts = transition_set(prev, updates, np.array([1.5]))
-        assert ts.P == pytest.approx(np.ones((3, 1)), abs=1e-12)
+        _, updates, _ = small_mixture()
+        P, _, _ = _z_matrices(updates, np.array([1.5]), "free")
+        assert P == pytest.approx(np.ones((3, 1)), abs=1e-12)
 
     def test_free_rows_sum_to_one(self):
-        prev, updates, gam = small_mixture()
-        ts = transition_set(prev, updates, gam)
-        assert ts.P.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-10)
-        assert np.all(ts.P >= 0.0)
+        _, updates, gam = small_mixture()
+        P, _, _ = _z_matrices(updates, gam, "free")
+        assert P.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-10)
+        assert np.all(P >= 0.0)
 
     def test_absorbing_row_mass(self):
         # absorbed mass from a gaussian update with c = m = 1 is Phi(-1)
-        prev = Quantizer(np.array([1.0]), np.array([1.0]))
-        ups = batch((1.0, 1.0))
-        ts = transition_set(prev, ups, np.array([0.5, 1.5]), "absorbing")
-        assert ts.P.sum() == pytest.approx(1.0 - ndtr(-1.0), abs=1e-12)
-        assert ts.P.sum() == pytest.approx(0.8413447460685429, abs=1e-10)
+        P, _, _ = _z_matrices(batch((1.0, 1.0)), np.array([0.5, 1.5]),
+                              "absorbing")
+        assert P.sum() == pytest.approx(1.0 - ndtr(-1.0), abs=1e-12)
+        assert P.sum() == pytest.approx(0.8413447460685429, abs=1e-10)
 
     def test_reflecting_rows_sum_to_one(self):
-        prev = Quantizer(np.array([0.5, 1.0]), np.array([0.4, 0.6]))
         ups = batch((0.8, 0.4), (0.3, 1.1, 5.0))
-        ts = transition_set(prev, ups, np.array([0.3, 0.9, 2.0]), "reflecting")
-        assert ts.P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-10)
+        P, _, _ = _z_matrices(ups, np.array([0.3, 0.9, 2.0]), "reflecting")
+        assert P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-10)
 
     def test_errors(self):
-        prev, updates, gam = small_mixture()
+        # candidate grids must increase and lie inside the state support
+        _, _, gam = small_mixture()
         with pytest.raises(ValueError):
-            transition_set(prev, updates, gam[::-1])
-        pos_prev = Quantizer(np.array([1.0]), np.array([1.0]))
-        pos_ups = batch((0.5, 1.0))
+            checked_grid(gam[::-1], (-np.inf, np.inf))
         with pytest.raises(ValueError):
-            transition_set(pos_prev, pos_ups, np.array([-1.0, 2.0]),
-                           "absorbing")
+            checked_grid(np.array([-1.0, 2.0]), (0.0, np.inf))
 
 
 class TestNewtonStep:
@@ -156,7 +178,7 @@ class TestNewtonStep:
         m, c = 0.8, 2.0
         prev = Quantizer(np.array([5.0]), np.array([1.0]))
         ups = batch((m, c))
-        law = gaussian_law(m, c)
+        law = affine_law(std_normal_funcs(), m, c)
         gam = np.array([1.2, 1.9, 2.7])
         ev = _mixture_evaluator(prev.probabilities, ups, "free")(gam)
         assert ev.grad == pytest.approx(distortion_gradient(law, gam), rel=1e-12)
@@ -224,7 +246,7 @@ class TestRmqRunGbm:
         seq = rmq_run(gbm, "euler", 100.0, sched, "free")
         u = euler_updates(gbm, np.array([100.0]), sched.dt)
         m, c = float(u.m[0]), float(u.c[0])
-        law = gaussian_law(m, c)
+        law = affine_law(std_normal_funcs(), m, c)
         from rmquant.vq1d import initial_guess
         q = newton_quantize(law, np.sort(m * initial_guess("normal", 40) + c),
                             sched.n_max_vq)
@@ -241,15 +263,6 @@ class TestRmqRunGbm:
             assert m == pytest.approx(GBM_MEAN_1Y, rel=1e-2)
         assert max(means) - min(means) < 1e-2 * GBM_MEAN_1Y
 
-    def test_variable_cardinality_schedule(self, gbm):
-        sched = Schedule(T=0.5, K=3, n_per_step=[20, 35, 50])
-        seq = rmq_run(gbm, "euler", 100.0, sched, "free")
-        assert [cw.size for cw in seq.codewords] == [20, 35, 50]
-        assert seq.transitions[0].shape == (20, 35)
-        assert seq.transitions[1].shape == (35, 50)
-        for k, p in enumerate(seq.probabilities):
-            assert abs(p.sum() - 1.0) < 1e-10, k
-
     def test_negative_scale_rows_supported_in_free_mode(self):
         # a mixture whose second component has m < 0 must still produce a
         # stochastic transition matrix and a finite-difference-consistent
@@ -257,8 +270,8 @@ class TestRmqRunGbm:
         prev = Quantizer(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         ups = batch((0.7, 1.1), (-0.6, 2.2))
         gam = np.array([0.6, 1.4, 2.3])
-        ts = transition_set(prev, ups, gam)
-        assert ts.P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
+        P, _, _ = _z_matrices(ups, gam, "free")
+        assert P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
         out, _ = damped_newton(
             gam, _mixture_evaluator(prev.probabilities, ups, "free"), 1)
         assert np.all(np.diff(out) > 0)
@@ -306,9 +319,8 @@ class TestBoundaryModes:
     def test_boundary_modes_reject_nonpositive_scale(self):
         prev = Quantizer(np.array([1.0]), np.array([1.0]))
         ups = batch((-1.0, 1.0))
-        from rmquant import RmqError
         with pytest.raises(RmqError):
-            transition_set(prev, ups, np.array([1.0]), "absorbing")
+            implied_marginal_cdf(1.0, prev, ups, "absorbing")
 
 
 class TestSerialization:
@@ -424,6 +436,22 @@ def _drop_model(doc):
     del doc["model"]
 
 
+def _negative_horizon(doc):
+    doc["horizon"] = -1.0
+
+
+def _infinite_horizon(doc):
+    doc["horizon"] = float("inf")
+
+
+def _nan_s0(doc):
+    doc["s0"] = float("nan")
+
+
+def _unknown_scheme(doc):
+    doc["scheme"] = "runge-kutta"
+
+
 ABSORBING_EDITS = (_bogus_boundary, _move_zero_state, _leak_zero_state,
                    _shift_zero_state_mass)
 
@@ -450,6 +478,7 @@ class TestLoadedSequenceChecks:
         _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
         _swap_codewords, _negative_entry, _break_markov, _drop_column,
         _keep_only_schema, _drop_step_probabilities, _drop_model,
+        _negative_horizon, _infinite_horizon, _nan_s0, _unknown_scheme,
         *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
         doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
