@@ -8,7 +8,9 @@ their numerical machinery (only the normal cdf is common):
   optional exact lognormal stepping for GBM, and absorbing/reflecting
   behaviour at zero for models that need it.
 * A Crank-Nicolson finite-difference solver for Bermudan (and European)
-  claims under a local-volatility model.
+  claims under a local-volatility model.  Its implicit operator is
+  factored once per solve (LAPACK ``dgttrf``) and back-substituted at
+  each time step (``dgttrs``).
 
 Random stream discipline: path ``p`` always consumes the same slots of a
 Philox counter stream keyed by the seed, so enlarging the path count
@@ -27,7 +29,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import ndtr, ndtri
 
 from . import _pool
@@ -36,8 +39,9 @@ from .pricing import VanillaPayoff
 from .sde_models import SdeModel
 
 # Paths in flight at once: each of the pool's workers simulates a chunk of
-# _CHUNK_PATHS / workers paths, so the chunks' normal matrices together
-# stay around 150 MB at 1200 steps whatever the worker count.
+# _CHUNK_PATHS / workers paths.  A chunk's normals overwrite its uniforms,
+# one paths x slots array, so the chunks' matrices together stay around
+# 150 MB at 1200 steps whatever the worker count.
 _CHUNK_PATHS = 16384
 
 
@@ -97,14 +101,17 @@ def path_normals(seed: int, path_start: int, n_paths: int,
     Each path owns a fixed block of the Philox stream: ``slots`` draws per
     path where ``slots`` rounds ``steps`` up to a multiple of 4 (Philox
     advances in blocks of four 64-bit outputs).  Uniform draws are mapped
-    through the inverse normal cdf, one draw per normal, so the
-    path-to-slot mapping is exact.
+    through the inverse normal cdf in place, one draw per normal, so the
+    path-to-slot mapping is exact.  The result is a view of the uniforms'
+    array; when ``steps`` is not a multiple of 4 its rows are strided.
     """
     slots = 4 * ((steps + 3) // 4)
     bg = Philox(key=seed)
     bg.advance(path_start * slots // 4)
     u = Generator(bg).random((n_paths, slots))
-    return ndtri(u[:, :steps] + 2.0 ** -54)
+    z = u[:, :steps]
+    z += 2.0 ** -54
+    return ndtri(z, out=z)
 
 
 def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
@@ -214,7 +221,7 @@ def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,
     dtf = T / cfg.time_steps
 
     v = payoff.values(s)
-    v0 = float(v[0])  # intrinsic value pinned at s = 0
+    v0 = float(v[0])  # intrinsic value pinned at s = 0; v[0] stays v0
 
     si = s[1:-1]
     adv = model.a(si)
@@ -230,9 +237,6 @@ def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,
         up = sign * 0.5 * dtf * l_up
         # Fold the zero-gamma condition v_M = 2 v_{M-1} - v_{M-2} into the
         # last interior row so the system stays tridiagonal.
-        mid = mid.copy()
-        low = low.copy()
-        up = up.copy()
         mid[-1] += 2.0 * up[-1]
         low[-1] -= up[-1]
         up[-1] = 0.0
@@ -240,11 +244,6 @@ def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,
 
     a_low, a_mid, a_up = bands(-1.0)
     b_low, b_mid, b_up = bands(+1.0)
-
-    ab = np.zeros((3, m - 1))
-    ab[0, 1:] = a_up[:-1]
-    ab[1] = a_mid
-    ab[2, :-1] = a_low[1:]
 
     exercise_steps = set()
     for d in exercise_dates:
@@ -254,18 +253,31 @@ def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,
         if 1 <= n <= cfg.time_steps:
             exercise_steps.add(n)
 
-    intrinsic = payoff.values(s)
+    # Factor the implicit operator once.  dgttrf and dgttrs are the factor
+    # and solve halves of the dgtsv that solve_banded((1, 1), ...) runs, so
+    # every step's values are unchanged; its finiteness and singularity
+    # errors are kept, the bands checked here and each right-hand side below.
+    *lu, info = dgttrf(*(np.asarray_chkfinite(x)
+                         for x in (a_low[1:], a_mid, a_up[:-1])))
+    if info > 0:
+        raise LinAlgError("singular matrix")
+
+    intrinsic = v.copy()
+    rhs = np.empty(m - 1)
+    term = np.empty(m - 1)
+    rhs0 = (b_low[0] - a_low[0]) * v0
     for n in range(1, cfg.time_steps + 1):
         inner = v[1:-1]
-        rhs = b_mid * inner
-        rhs[1:] += b_low[1:] * inner[:-1]
-        rhs[:-1] += b_up[:-1] * inner[1:]
-        rhs[0] += (b_low[0] - a_low[0]) * v0
-        inner_new = solve_banded((1, 1), ab, rhs)
-        v = np.empty_like(v)
-        v[0] = v0
-        v[1:-1] = inner_new
-        v[-1] = 2.0 * inner_new[-1] - inner_new[-2]
+        np.multiply(b_mid, inner, out=rhs)
+        np.multiply(b_low[1:], inner[:-1], out=term[1:])
+        rhs[1:] += term[1:]
+        np.multiply(b_up[:-1], inner[1:], out=term[:-1])
+        rhs[:-1] += term[:-1]
+        rhs[0] += rhs0
+        np.asarray_chkfinite(rhs)
+        rhs, _ = dgttrs(*lu, rhs, overwrite_b=True)
+        v[1:-1] = rhs
+        v[-1] = 2.0 * rhs[-1] - rhs[-2]
         if n in exercise_steps:
             np.maximum(v, intrinsic, out=v)
     return float(np.interp(s0, s, v))

@@ -302,7 +302,7 @@ class QuantizationSequence:
         _require_fields(doc, "model", "scheme", "boundary", "s0", "horizon",
                         "steps", "transitions")
         for s in doc["steps"]:
-            _require_fields(s, "codewords", "probabilities")
+            _require_fields(s, "time", "codewords", "probabilities")
         codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
         probabilities = [np.asarray(s["probabilities"], dtype=float)
                          for s in doc["steps"]]
@@ -329,8 +329,9 @@ def _require_fields(doc: dict, *names: str):
 
 
 def _check_chain(doc, codewords, probabilities, transitions):
-    """Raise ValueError unless the header fields of ``doc`` are usable and
-    the arrays read from it form a consistent Markov chain."""
+    """Raise ValueError unless the header fields of ``doc`` are usable, the
+    steps' times divide its horizon evenly and the arrays read from it form
+    a consistent Markov chain."""
     def need(ok, what):
         if not ok:
             raise ValueError(f"inconsistent sequence: {what}")
@@ -343,6 +344,11 @@ def _check_chain(doc, codewords, probabilities, transitions):
     need(scheme in tuple(SCHEME_BUILDERS), f"unknown scheme {scheme!r}")
     need(codewords and len(transitions) == len(codewords) - 1,
          f"{len(codewords)} grids but {len(transitions)} transition matrices")
+    K = len(codewords)
+    for k, step in enumerate(doc["steps"], start=1):
+        t, want = step["time"], k * horizon / K
+        need(isinstance(t, (int, float)) and abs(t - want) <= 1e-12 * want,
+             f"step {k} time {t!r} is not {k}/{K} of horizon {horizon!r}")
     for k, (cw, p) in enumerate(zip(codewords, probabilities), start=1):
         need(cw.ndim == 1 and cw.size > 0 and p.shape == cw.shape,
              f"step {k} codewords and probabilities are not aligned vectors")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.special import ndtri
 
+import rmquant.oracles
 from rmquant import (FdConfig, McConfig, SdeModel, VanillaPayoff,
                      black_scholes, cn_bermudan, empirical_cdf,
                      gbm_exact_marginal, gbm_model)
@@ -9,6 +13,18 @@ from rmquant.oracles import mc_estimate, path_normals, simulate_terminal
 from conftest import CEV_LOW_ALPHA, GBM
 
 BS_PUT_ATM = 9.354197236057231  # put, s0=K=100, r=5%, sigma=30%, T=1
+
+
+def linear_model(drift, vol):
+    """dS = drift S dt + vol dW: linear drift, constant diffusion."""
+    return SdeModel(
+        a=lambda x: drift * np.asarray(x, float),
+        a_x=lambda x: np.full_like(np.asarray(x, float), drift),
+        a_xx=lambda x: np.zeros_like(np.asarray(x, float)),
+        b=lambda x: np.full_like(np.asarray(x, float), vol),
+        b_x=lambda x: np.zeros_like(np.asarray(x, float)),
+        b_xx=lambda x: np.zeros_like(np.asarray(x, float)),
+        state_domain=(0.0, np.inf))
 
 
 def mc_european(model, payoff, cfg, stepping="euler"):
@@ -52,6 +68,17 @@ class TestPathStreams:
         tail = path_normals(7, 600, 400, 10)
         assert np.array_equal(full[600:], tail)
 
+    @pytest.mark.parametrize("steps", [12, 10])
+    def test_normals_overwrite_their_uniforms(self, steps):
+        slots = 4 * ((steps + 3) // 4)
+        bg = Philox(key=42)
+        bg.advance(5 * slots // 4)
+        u = Generator(bg).random((300, slots))
+        z = path_normals(42, 5, 300, steps)
+        assert np.array_equal(z, ndtri(u[:, :steps] + 2.0 ** -54))
+        # no second paths x steps array: the normals live in the uniforms'
+        assert z.base is not None and z.base.shape == (300, slots)
+
     def test_chunking_invariance(self):
         cfg_small = McConfig(paths=300, steps=8, seed=3)
         one = simulate_terminal(gbm_model(GBM), 100.0, 1.0, cfg_small)
@@ -75,14 +102,7 @@ class TestMcPrice:
         assert se < 0.02
 
     def test_zero_volatility_is_deterministic(self):
-        flat = SdeModel(
-            a=lambda x: 0.05 * np.asarray(x, float),
-            a_x=lambda x: np.full_like(np.asarray(x, float), 0.05),
-            a_xx=lambda x: np.zeros_like(np.asarray(x, float)),
-            b=lambda x: np.zeros_like(np.asarray(x, float)),
-            b_x=lambda x: np.zeros_like(np.asarray(x, float)),
-            b_xx=lambda x: np.zeros_like(np.asarray(x, float)),
-            state_domain=(0.0, np.inf))
+        flat = linear_model(0.05, 0.0)
         steps = 50
         cfg = McConfig(paths=100, steps=steps, seed=1)
         price, se = mc_european(flat, VanillaPayoff("call", 90.0), cfg)
@@ -129,8 +149,58 @@ class TestMcPrice:
             McConfig(paths=10, steps=10, seed=1, monitoring_stride=3)
 
 
+def cn_reference(model, s0, T, r, payoff, exercise_dates, cfg):
+    """The Crank-Nicolson solve with one solve_banded call per time step."""
+    m = cfg.space_steps
+    s_max = cfg.s_max_mult * s0
+    ds = s_max / m
+    s = np.linspace(0.0, s_max, m + 1)
+    dtf = T / cfg.time_steps
+    v = payoff.values(s)
+    v0 = float(v[0])
+    si = s[1:-1]
+    adv = model.a(si)
+    dif = 0.5 * model.b(si) ** 2
+    l_low = dif / ds ** 2 - adv / (2.0 * ds)
+    l_mid = -2.0 * dif / ds ** 2 - r
+    l_up = dif / ds ** 2 + adv / (2.0 * ds)
+
+    def bands(sign):
+        low = sign * 0.5 * dtf * l_low
+        mid = 1.0 + sign * 0.5 * dtf * l_mid
+        up = sign * 0.5 * dtf * l_up
+        mid[-1] += 2.0 * up[-1]
+        low[-1] -= up[-1]
+        up[-1] = 0.0
+        return low, mid, up
+
+    a_low, a_mid, a_up = bands(-1.0)
+    b_low, b_mid, b_up = bands(+1.0)
+    ab = np.zeros((3, m - 1))
+    ab[0, 1:] = a_up[:-1]
+    ab[1] = a_mid
+    ab[2, :-1] = a_low[1:]
+    exercise_steps = {int(round((T - d) / dtf)) for d in exercise_dates}
+    intrinsic = payoff.values(s)
+    for n in range(1, cfg.time_steps + 1):
+        inner = v[1:-1]
+        rhs = b_mid * inner
+        rhs[1:] += b_low[1:] * inner[:-1]
+        rhs[:-1] += b_up[:-1] * inner[1:]
+        rhs[0] += (b_low[0] - a_low[0]) * v0
+        inner_new = solve_banded((1, 1), ab, rhs)
+        v = np.empty_like(v)
+        v[0] = v0
+        v[1:-1] = inner_new
+        v[-1] = 2.0 * inner_new[-1] - inner_new[-2]
+        if n in exercise_steps:
+            np.maximum(v, intrinsic, out=v)
+    return float(np.interp(s0, s, v))
+
+
 class TestCrankNicolson:
     CFG = FdConfig(time_steps=600, space_steps=800, s_max_mult=4.0)
+    MONTHLY = [k / 12.0 for k in range(1, 12)]
 
     def test_european_matches_black_scholes(self, gbm):
         got = cn_bermudan(gbm, 100.0, 1.0, 0.05, VanillaPayoff("put", 100.0),
@@ -165,6 +235,49 @@ class TestCrankNicolson:
         with pytest.raises(ValueError):
             cn_bermudan(gbm, 100.0, 1.0, 0.05, VanillaPayoff("put", 100.0),
                         [-0.5], self.CFG)
+
+    @pytest.mark.parametrize("cfg", [CFG, FdConfig(50, 100, 4.0)])
+    @pytest.mark.parametrize("dates", ["european", "monthly"])
+    @pytest.mark.parametrize("kind", ["put", "call"])
+    @pytest.mark.parametrize("which", ["gbm", "cev_low_alpha"])
+    def test_equals_per_step_solve_banded(self, request, which, kind,
+                                          dates, cfg):
+        model = request.getfixturevalue(which)
+        s0 = CEV_LOW_ALPHA.s0 if which == "cev_low_alpha" else GBM.s0
+        args = (model, s0, 1.0, 0.05, VanillaPayoff(kind, 1.1 * s0),
+                [] if dates == "european" else self.MONTHLY, cfg)
+        assert cn_bermudan(*args) == cn_reference(*args)
+
+    def test_operator_factored_once_per_solve(self, gbm, monkeypatch):
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return factor(*a, **kw)
+
+        factor = rmquant.oracles.dgttrf
+        monkeypatch.setattr(rmquant.oracles, "dgttrf", counting)
+        payoff = VanillaPayoff("put", 100.0)
+        for _ in range(2):
+            cn_bermudan(gbm, 100.0, 1.0, 0.05, payoff, self.MONTHLY,
+                        FdConfig(200, 300))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("model, strike", [
+        (linear_model(0.05, np.nan), 100.0),   # non-finite operator
+        (linear_model(0.05, 30.0), np.inf),    # non-finite right-hand side
+    ])
+    def test_non_finite_input_raises(self, model, strike):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="infs or NaNs"):
+            cn_bermudan(model, 100.0, 1.0, 0.05, VanillaPayoff("put", strike),
+                        [], FdConfig(64, 100))
+
+    def test_zero_pivot_raises(self):
+        # no drift or diffusion and r = -2 / dt: the implicit operator is 0
+        with pytest.raises(LinAlgError, match="singular"):
+            cn_bermudan(linear_model(0.0, 0.0), 100.0, 1.0, -128.0,
+                        VanillaPayoff("put", 100.0), [], FdConfig(64, 100))
 
 
 def test_oracles_do_not_share_engine_kernels():

@@ -452,6 +452,15 @@ def _unknown_scheme(doc):
     doc["scheme"] = "runge-kutta"
 
 
+def _stretch_horizon(doc):
+    # the steps keep their times, k/K of the original horizon
+    doc["horizon"] = 2.0 * doc["horizon"]
+
+
+def _drop_step_time(doc):
+    del doc["steps"][1]["time"]
+
+
 ABSORBING_EDITS = (_bogus_boundary, _move_zero_state, _leak_zero_state,
                    _shift_zero_state_mass)
 
@@ -479,7 +488,7 @@ class TestLoadedSequenceChecks:
         _swap_codewords, _negative_entry, _break_markov, _drop_column,
         _keep_only_schema, _drop_step_probabilities, _drop_model,
         _negative_horizon, _infinite_horizon, _nan_s0, _unknown_scheme,
-        *ABSORBING_EDITS])
+        _stretch_horizon, _drop_step_time, *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
         doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
         edit(doc)
