@@ -5,9 +5,10 @@ Monte Carlo paths of ``oracles``, split into pieces whose results do not
 depend on the order in which they run; numpy and scipy release the
 interpreter lock inside those pieces, so threads use every core.  The
 pool has one thread per core this process may run on
-(``os.sched_getaffinity``); one core means a plain serial loop.  A forked
-child does not inherit the parent's threads, so the pool is created again
-when the process id changes.
+(``os.sched_getaffinity``, or ``os.cpu_count`` on platforms without it);
+one core means a plain serial loop.  A forked child does not inherit the
+parent's threads, so the pool is created again when the process id
+changes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ _pool = None    # (pid, worker count, executor)
 
 def workers() -> int:
     """Threads the kernels split their work over."""
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pmap(fn, items) -> list:

@@ -65,6 +65,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError("start and stop must be finite")
     if n < 1:
         raise argparse.ArgumentTypeError("count must be >= 1")
     return np.linspace(lo, hi, n)
@@ -342,12 +344,14 @@ def cmd_price(ns) -> int:
         print(f"price: {what} references need --seed", file=sys.stderr)
         return EXIT_USAGE
     model, params = _build_model(ns)
-    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     kind = ns.kind
     r = ns.r
     atm = ns.strike if ns.strike is not None else params.s0
     strikes = (ns.strikes * params.s0 if ns.strikes is not None
                else np.array([atm]))
+    # Built before the run, so that a bad strike is refused at once.
+    payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
+    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     mc_boundary = ns.boundary if ns.model == "cev" else "free"
     if mc_ref:
         paths, steps = _mc_sizes(ns)
@@ -367,8 +371,7 @@ def cmd_price(ns) -> int:
                      "std_error": se})
 
     if ns.instrument == "european":
-        for strike in strikes:
-            payoff = VanillaPayoff(kind=kind, strike=float(strike))
+        for strike, payoff in zip(strikes, payoffs):
             if ns.model == "gbm":
                 ref, se = black_scholes(kind, params.s0, float(strike), r,
                                         params.sigma, ns.T), None
@@ -378,15 +381,14 @@ def cmd_price(ns) -> int:
     elif ns.instrument == "bermudan":
         dates = [k * ns.T / ns.K for k in range(1, ns.K)]
         fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
-        for strike in strikes:
-            payoff = VanillaPayoff(kind=kind, strike=float(strike))
+        for strike, payoff in zip(strikes, payoffs):
             add_row(strike, bermudan_price(seq, payoff, r),
                     cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
                                 fd_cfg))
     else:
         levels = (ns.levels if ns.levels is not None
                   else np.linspace(1.05, 1.5, 10)) * atm
-        payoff = VanillaPayoff(kind=kind, strike=atm)
+        payoff = payoffs[0]
         term, smax = mc
         base = disc * payoff.values(term)
         for level in levels:
@@ -426,6 +428,9 @@ def cmd_convergence(ns) -> int:
 
 
 def cmd_dist_error(ns) -> int:
+    if ns.grid_points < 1:
+        print("dist-error: --grid-points must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if _refuse_unread("dist-error", [
             (ns.model == "gbm", "only CEV has a Monte Carlo reference; "
              "GBM uses the exact marginal", _mc_flags(ns))]):

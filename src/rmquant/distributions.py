@@ -1,16 +1,18 @@
-"""Scalar distribution kernels: pdf, cdf and lower partial expectations.
+"""Scalar distribution kernels: pdf, cdf and first lower partial expectation.
 
 Everything the quantization engine needs from a distribution is the triple
 
     f(x)   = density,
     F(x)   = P(X <= x),
-    M1(x)  = E[X * 1{X < x}]   (first lower partial expectation),
+    M1(x)  = E[X * 1{X < x}]   (first lower partial expectation).
 
-plus, for distortion estimates only, M2(x) = E[X^2 * 1{X < x}].  Two laws
-are supported in closed form: the standard normal and the noncentral
-chi-squared with one degree of freedom, which can be written entirely in
-terms of the normal pdf/cdf.  A reflection transform folds mass below a
-boundary back onto the support, again in closed form.
+A distortion value needs one number more, the second moment E[X^2]: the
+regions span the support, so the squared error is E[X^2] less terms in the
+differences of F and M1 (see ``vq1d``).  Two laws are supported in closed
+form: the standard normal and the noncentral chi-squared with one degree
+of freedom, which can be written entirely in terms of the normal pdf/cdf.
+A reflection transform folds mass below a boundary back onto the support,
+again in closed form.
 
 All kernels are vectorized over numpy arrays, accept +/-inf arguments and
 return the exact limit values there (no NaNs leak out of limit cases).
@@ -56,42 +58,11 @@ def norm_pdf(x):
     return _phi(x, np.empty_like(x))[()]
 
 
-def norm_cdf(x):
-    """Standard normal distribution function (erfc-based)."""
-    return ndtr(np.asarray(x, dtype=float))
-
-
-def norm_m2(x):
-    """Second lower partial expectation of the standard normal.
-
-    M2(x) = F(x) - x * f(x); the x*f(x) term vanishes in both tails.
-    """
-    x = np.asarray(x, dtype=float)
-    xf = np.where(np.isfinite(x), x, 0.0)
-    return ndtr(x) - xf * norm_pdf(x)
-
-
 def norm_fFM(x):
     """Fused (pdf, cdf, M1) of the standard normal."""
     x = np.asarray(x, dtype=float)
     p = norm_pdf(x)
     return p, ndtr(x), -p
-
-
-def _split_sqrt(x, lam):
-    """sqrt helpers for the 1-dof noncentral chi-squared kernels.
-
-    Returns (positive mask, finite mask, sqrt(x), x_plus, x_minus) where
-    x_plus/minus are +/-sqrt(x) - sqrt(lam), computed on a safely clipped
-    copy of x so that nonpositive or infinite entries never produce NaN
-    intermediates (those entries are masked out by the callers).
-    """
-    x = np.asarray(x, dtype=float)
-    pos = x > 0.0
-    finite = np.isfinite(x)
-    xs = np.sqrt(np.where(pos & finite, x, 1.0))
-    sl = np.sqrt(lam)
-    return pos, finite, xs, xs - sl, -xs - sl
 
 
 def ncx2_fFM(x, lam):
@@ -149,38 +120,6 @@ def ncx2_fFM(x, lam):
     return f.reshape(shape), F.reshape(shape), M1.reshape(shape)
 
 
-def _phi_poly_ints(z):
-    """Antiderivatives of z^k * phi(z) for k = 0..4, limit-safe at +/-inf."""
-    z = np.asarray(z, dtype=float)
-    F = ndtr(z)
-    p = norm_pdf(z)
-    zf = np.where(np.isfinite(z), z, 0.0)
-    i0 = F
-    i1 = -p
-    i2 = F - zf * p
-    i3 = -(zf * zf + 2.0) * p
-    i4 = 3.0 * F - (zf ** 3 + 3.0 * zf) * p
-    return i0, i1, i2, i3, i4
-
-
-def ncx2_m2(x, lam):
-    """Second lower partial expectation of the 1-dof noncentral chi-squared.
-
-    With X = (Z + mu)^2, mu = sqrt(lam), expand E[(Z+mu)^4 1{x- < Z < x+}]
-    binomially into moments of the truncated normal.  M2(inf) equals
-    E[X^2] = lam^2 + 6 lam + 3.
-    """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.sqrt(lam)
-    pos, finite, _, xp, xm = _split_sqrt(x, lam)
-    d = [u - v for u, v in zip(_phi_poly_ints(xp), _phi_poly_ints(xm))]
-    val = (mu ** 4) * d[0] + 4.0 * mu ** 3 * d[1] + 6.0 * mu ** 2 * d[2] \
-        + 4.0 * mu * d[3] + d[4]
-    full = lam * lam + 6.0 * lam + 3.0
-    out = np.where(pos, np.where(finite, val, full), 0.0)
-    return out
-
-
 def reflect_fFM(law, x, xbar):
     """Fold the (f, F, M1) triple that ``law`` maps ``x`` to about ``xbar``:
 
@@ -197,31 +136,20 @@ def reflect_fFM(law, x, xbar):
     return f1 + f2, F1 - F2, M1 + M2 - 2.0 * xbar * F2
 
 
-def reflect_m2(m2, law, x, xbar):
-    """Fold of the second lower partial expectation, constants dropped:
-
-        M2~(x) = M2(x) - M2(x') + 4 xbar M1(x') - 4 xbar^2 F(x'),  x' = 2 xbar - x
-    """
-    x = np.asarray(x, dtype=float)
-    xr = 2.0 * xbar - x
-    _, Fr, M1r = law(xr)
-    return m2(x) - m2(xr) + 4.0 * xbar * M1r - 4.0 * xbar * xbar * Fr
-
-
 @dataclass(frozen=True)
 class ScalarDistribution:
     """One fused callable ``fFM`` on a stated support interval.
 
     ``fFM(x)`` returns the (pdf, cdf, M1) triple, like one row of
     ``UpdateBatch.law_fFM``; ``pdf``, ``cdf`` and ``m1`` each return one part.
-    ``m2`` is optional and only needed for numerical distortion estimates.
-    All callables are vectorized over numpy arrays and return exact limit
-    values at the support endpoints.  Instances are immutable and safe for
-    concurrent reads.
+    ``second_moment`` is E[X^2], optional and only needed for distortion
+    values.  All callables are vectorized over numpy arrays and return exact
+    limit values at the support endpoints.  Instances are immutable and safe
+    for concurrent reads.
     """
 
     fFM: Callable
-    m2: Optional[Callable] = None
+    second_moment: Optional[float] = None
     support: Tuple[float, float] = REAL_LINE
 
     def pdf(self, x):
@@ -241,25 +169,27 @@ class Ncx2Params:
     lam: float
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError(f"noncentrality must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(
+                f"noncentrality must be finite and >= 0, got {self.lam}")
 
 
 def std_normal_funcs() -> ScalarDistribution:
     """Standard normal triple (phi, Phi, -phi) on the real line."""
-    return ScalarDistribution(fFM=norm_fFM, m2=norm_m2, support=REAL_LINE)
+    return ScalarDistribution(fFM=norm_fFM, second_moment=1.0, support=REAL_LINE)
 
 
 def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
     """Noncentral chi-squared (1 dof) triple on [0, inf).
 
     All three parts are 0 for x <= 0 and take their exact limits at
-    infinity: F(inf) = 1, M1(inf) = 1 + lam.
+    infinity: F(inf) = 1, M1(inf) = 1 + lam.  With X = (Z + sqrt(lam))^2,
+    E[X^2] = E[(Z + sqrt(lam))^4] = lam^2 + 6 lam + 3.
     """
     lam = float(params.lam)
     return ScalarDistribution(
         fFM=lambda x: ncx2_fFM(x, lam),
-        m2=lambda x: ncx2_m2(x, lam),
+        second_moment=lam * lam + 6.0 * lam + 3.0,
         support=(0.0, np.inf),
     )
 
@@ -267,13 +197,16 @@ def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
 def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
     """Fold the mass of ``base`` below ``xbar`` back onto [xbar, inf).
 
-    ``base.fFM`` goes straight to :func:`reflect_fFM` and :func:`reflect_m2`.
-    Inputs below xbar are clamped to xbar, so differences across the
-    boundary vanish; the density is 0 there.
+    ``base.fFM`` goes straight to :func:`reflect_fFM`.  Inputs below xbar
+    are clamped to xbar, so differences across the boundary vanish; the
+    density is 0 there.  The fold adds 4 xbar E[(xbar - X) 1{X < xbar}] to
+    the second moment, read from differences across [support low, xbar],
+    in which constants dropped from ``base``'s M1 (a folded law's) cancel.
     """
     hi = base.support[1]
-    if not xbar < hi:
-        raise ValueError("reflection point must lie below the support's upper end")
+    if not -np.inf < xbar < hi:
+        raise ValueError("reflection point must be finite and lie below the "
+                         "support's upper end")
     xb = float(xbar)
 
     def fFM(x):
@@ -281,9 +214,10 @@ def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
         f, F, M1 = reflect_fFM(base.fFM, np.maximum(x, xb), xb)
         return np.where(x >= xb, f, 0.0), F, M1
 
-    return ScalarDistribution(
-        fFM=fFM,
-        m2=None if base.m2 is None
-        else lambda x: reflect_m2(base.m2, base.fFM, np.maximum(x, xb), xb),
-        support=(xb, hi),
-    )
+    second_moment = None
+    if base.second_moment is not None:
+        _, F, M1 = base.fFM(np.array([base.support[0], xb]))
+        below = xb * (F[1] - F[0]) - (M1[1] - M1[0])
+        second_moment = base.second_moment + 4.0 * xb * below
+    return ScalarDistribution(fFM=fFM, second_moment=second_moment,
+                              support=(xb, hi))

@@ -196,7 +196,7 @@ def empirical_cdf(model: SdeModel, s0: float, t: float, samples: int,
                 np.searchsorted(term, x, side="right") / samples,
                 prefix[np.searchsorted(term, x, side="left")])
 
-    return ScalarDistribution(fFM=fFM, m2=None, support=(-np.inf, np.inf))
+    return ScalarDistribution(fFM=fFM, support=(-np.inf, np.inf))
 
 
 def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,

@@ -26,8 +26,9 @@ class VanillaPayoff:
     def __post_init__(self):
         if self.kind not in ("call", "put"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.strike < 0.0:
-            raise ValueError("strike must be >= 0")
+        if not 0.0 <= self.strike < np.inf:
+            raise ValueError(
+                f"strike must be finite and >= 0, got {self.strike}")
 
     def values(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
-from .distributions import ScalarDistribution, norm_pdf, norm_cdf
+from .distributions import ScalarDistribution, norm_pdf
 
 _CEV_EVAL_FLOOR = 1e-12  # guards x^(alpha-2) against underflow near zero
 
@@ -49,6 +50,17 @@ class SdeModel:
     params: object = None
 
 
+def _check_fields(params, positive):
+    """Refuse, naming it, a NaN or infinite ``r`` or ``positive`` field of
+    ``params``, or a ``positive`` field that is not > 0."""
+    for name in ("r", *positive):
+        value = getattr(params, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if name in positive and not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class GbmParams:
     s0: float
@@ -56,10 +68,7 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.s0 > 0.0:
-            raise ValueError("s0 must be positive")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        _check_fields(self, positive=("s0", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -70,12 +79,9 @@ class CevParams:
     sigma_ln: float
 
     def __post_init__(self):
-        if not self.s0 > 0.0:
-            raise ValueError("s0 must be positive")
+        _check_fields(self, positive=("s0", "sigma_ln"))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not self.sigma_ln > 0.0:
-            raise ValueError("sigma_ln must be positive")
 
     @property
     def sigma(self) -> float:
@@ -159,22 +165,14 @@ def gbm_exact_marginal(p: GbmParams, t: float) -> ScalarDistribution:
     mean = p.s0 * np.exp(p.r * t)
     mean2 = p.s0 ** 2 * np.exp((2.0 * p.r + p.sigma ** 2) * t)
 
-    def _score(x):
+    def fFM(x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
         finite = np.isfinite(x)
         xs = np.where(pos & finite, x, 1.0)
         z = (np.log(xs / p.s0) - mu) / s
-        return pos, finite, xs, z
-
-    def fFM(x):
-        pos, finite, xs, z = _score(x)
         return (np.where(pos & finite, norm_pdf(z) / (xs * s), 0.0),
-                np.where(pos, np.where(finite, norm_cdf(z), 1.0), 0.0),
-                np.where(pos, np.where(finite, mean * norm_cdf(z - s), mean), 0.0))
+                np.where(pos, np.where(finite, ndtr(z), 1.0), 0.0),
+                np.where(pos, np.where(finite, mean * ndtr(z - s), mean), 0.0))
 
-    def m2(x):
-        pos, finite, _, z = _score(x)
-        return np.where(pos, np.where(finite, mean2 * norm_cdf(z - 2.0 * s), mean2), 0.0)
-
-    return ScalarDistribution(fFM=fFM, m2=m2, support=(0.0, np.inf))
+    return ScalarDistribution(fFM=fFM, second_moment=mean2, support=(0.0, np.inf))

@@ -3,10 +3,11 @@
 A quantizer is a strictly increasing grid of N codewords; its Voronoi
 regions on the support are the intervals between consecutive midpoints.
 The squared-error distortion, its gradient and its tridiagonal Hessian
-all reduce to differences of the distribution's cdf and lower partial
-expectations across the region boundaries:
+all reduce to differences of the distribution's cdf and first lower
+partial expectation across the region boundaries; since the regions span
+the support, D needs only the second moment E[X^2] besides:
 
-    D        = sum_i [ dM2_i - 2 g_i dM1_i + g_i^2 dF_i ]
+    D        = E[X^2] - sum_i g_i (2 dM1_i - g_i dF_i)
     dD/dg_i  = 2 g_i dF_i - 2 dM1_i
     d2D/dg_i^2        = 2 dF_i + (f(r+_i)(g_i - g_{i+1}) + f(r-_i)(g_{i-1} - g_i)) / 2
     d2D/dg_i dg_{i+1} = f(r+_i)(g_i - g_{i+1}) / 2
@@ -98,15 +99,13 @@ def _edge_diffs(dist: ScalarDistribution, edges: np.ndarray):
 def distortion(dist: ScalarDistribution, codewords) -> float:
     """Expected squared quantization error of the grid under ``dist``.
 
-    Requires the distribution's second lower partial expectation.
+    Requires the distribution's ``second_moment``.
     """
-    if dist.m2 is None:
-        raise ValueError("distortion needs the distribution's m2 function")
+    if dist.second_moment is None:
+        raise ValueError("distortion needs the distribution's second_moment")
     gam = np.asarray(codewords, dtype=float)
-    edges = region_boundaries(gam, dist.support).edges
-    dF, dM1, _ = _edge_diffs(dist, edges)
-    dM2 = np.diff(dist.m2(edges))
-    return float(np.sum(dM2 - 2.0 * gam * dM1 + gam * gam * dF))
+    dF, dM1, _ = _edge_diffs(dist, region_boundaries(gam, dist.support).edges)
+    return float(dist.second_moment - np.sum(gam * (2.0 * dM1 - gam * dF)))
 
 
 def distortion_gradient(dist: ScalarDistribution, codewords) -> np.ndarray:

@@ -361,3 +361,34 @@ def test_seed_only_where_monte_carlo_runs(command):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["price", "european", "--strike", "nan"], "strike must be finite"),
+    (["price", "european", "--strike", "inf"], "strike must be finite"),
+    (["price", "european", "--r", "nan"], "r must be finite"),
+    (["price", "european", "--r", "inf"], "r must be finite"),
+    (["price", "european", "--sigma", "inf"], "sigma must be finite"),
+    (["rmq", "--model", "cev", "--s0", "inf"], "s0 must be finite"),
+    (["rmq", "--model", "cev", "--sigma-ln", "nan"], "sigma_ln must be finite"),
+    (["dist-error", "--grid-points", "0"], "--grid-points must be >= 1"),
+    (["vq", "--dist", "ncx2", "--lambda", "inf"],
+     "noncentrality must be finite"),
+], ids=["strike-nan", "strike-inf", "r-nan", "r-inf", "sigma-inf",
+        "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf"])
+def test_invalid_numbers_are_usage_errors(capsys, argv, named):
+    small = [] if argv[0] == "vq" else SMALL_GRID
+    assert main([*argv, *small]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("instrument, flag, value", [
+    ("european", "--strikes", "0.9:inf:2"), ("barrier", "--levels", "nan:1.3:3")])
+def test_non_finite_range_is_refused(capsys, instrument, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", instrument, flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err and "finite" in err

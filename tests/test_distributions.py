@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from rmquant import Ncx2Params, ncx2_1_funcs, reflect_funcs, std_normal_funcs
-from rmquant.distributions import (LOBE_CUT, ncx2_fFM, ncx2_m2, norm_m2,
-                                   norm_pdf)
+from rmquant import (Ncx2Params, ScalarDistribution, ncx2_1_funcs,
+                     reflect_funcs, std_normal_funcs)
+from rmquant.distributions import LOBE_CUT, ncx2_fFM, norm_pdf
 
 from conftest import assert_derivative
 
@@ -32,15 +32,12 @@ class TestStdNormal:
         assert d.m1(np.inf) == 0.0
         assert d.cdf(-np.inf) == 0.0
         assert d.m1(-np.inf) == 0.0
-        assert d.m2(np.inf) == 1.0
-        assert d.m2(-np.inf) == 0.0
 
-    def test_m2_value(self):
-        # M2(x) = Phi(x) - x phi(x)
-        x = 0.7
+    def test_second_moment_matches_quadrature(self):
+        d = std_normal_funcs()
         ref = quad(lambda t: t * t * np.exp(-t * t / 2) / np.sqrt(2 * np.pi),
-                   -np.inf, x)[0]
-        assert norm_m2(x) == pytest.approx(ref, rel=1e-10)
+                   -np.inf, np.inf)[0]
+        assert d.second_moment == pytest.approx(ref, rel=1e-10)
 
     def test_derivatives(self):
         d = std_normal_funcs()
@@ -48,13 +45,14 @@ class TestStdNormal:
         pts = rng.uniform(-4.0, 4.0, 200)
         assert_derivative(d.cdf, d.pdf, pts)
         assert_derivative(d.m1, lambda x: x * d.pdf(x), pts)
-        assert_derivative(d.m2, lambda x: x * x * d.pdf(x), pts)
 
 
 class TestNcx2:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             Ncx2Params(lam=-0.1)
+        with pytest.raises(ValueError, match="finite"):
+            Ncx2Params(lam=np.inf)
 
     def test_central_case_value(self):
         d = ncx2_1_funcs(Ncx2Params(lam=0.0))
@@ -82,14 +80,12 @@ class TestNcx2:
             assert_derivative(d.cdf, d.pdf, pts)
             assert_derivative(d.m1, lambda x, d=d: x * d.pdf(x), pts)
 
-    def test_m2_against_quadrature(self):
+    def test_second_moment_matches_quadrature(self):
         for lam in (0.0, 2.0, 17.0):
             d = ncx2_1_funcs(Ncx2Params(lam=lam))
-            for x in (0.4, 1.7, lam + 3.0):
-                ref = quad(lambda t: t * t * d.pdf(t), 0.0, x, limit=200)[0]
-                assert ncx2_m2(x, lam) == pytest.approx(ref, rel=1e-8)
-            full = lam * lam + 6.0 * lam + 3.0
-            assert ncx2_m2(np.inf, lam) == pytest.approx(full, rel=1e-14)
+            ref = sum(quad(lambda t: t * t * d.pdf(t), a, b, limit=200)[0]
+                      for a, b in ((0.0, 1.0), (1.0, np.inf)))
+            assert d.second_moment == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 2.0, 7.0, 40.0])
     def test_cdf_matches_empirical(self, lam):
@@ -202,12 +198,24 @@ class TestReflection:
             ref = quad(lambda t: t * refl.pdf(t), a, b)[0]
             assert refl.m1(b) - refl.m1(a) == pytest.approx(ref, rel=1e-9)
 
-    def test_m2_differences_match_quadrature(self):
-        refl = reflect_funcs(std_normal_funcs(), -0.5)
-        for a, b in ((-0.2, 1.1), (0.5, 3.0)):
-            ref = quad(lambda t: t * t * refl.pdf(t), a, b)[0]
-            assert refl.m2(b) - refl.m2(a) == pytest.approx(ref, rel=1e-9)
+    def test_second_moment_matches_quadrature(self):
+        # the last law folds a folded law, whose M1 drops a constant; its
+        # density jumps at 2 = lo + 1.5, the fold of -1 about 0.5
+        normal, ncx2 = std_normal_funcs(), ncx2_1_funcs(Ncx2Params(lam=2.0))
+        for refl in (reflect_funcs(normal, -0.5), reflect_funcs(normal, 0.7),
+                     reflect_funcs(ncx2, 0.6),
+                     reflect_funcs(reflect_funcs(normal, -1.0), 0.5)):
+            lo = refl.support[0]
+            ref = sum(quad(lambda t: t * t * refl.pdf(t), a, b, limit=200)[0]
+                      for a, b in ((lo, lo + 1.5), (lo + 1.5, np.inf)))
+            assert refl.second_moment == pytest.approx(ref, rel=1e-9)
+
+    def test_second_moment_needs_the_base_one(self):
+        bare = ScalarDistribution(fFM=std_normal_funcs().fFM)
+        assert reflect_funcs(bare, 0.3).second_moment is None
 
     def test_rejects_xbar_at_support_top(self):
         with pytest.raises(ValueError):
             reflect_funcs(std_normal_funcs(), np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            reflect_funcs(std_normal_funcs(), -np.inf)

@@ -27,6 +27,14 @@ def linear_model(drift, vol):
         state_domain=(0.0, np.inf))
 
 
+def unchecked_put(strike):
+    """A put whose strike skips VanillaPayoff's finiteness check, so that
+    the oracle's own checks meet a non-finite payoff."""
+    payoff = VanillaPayoff("put", 0.0)
+    object.__setattr__(payoff, "strike", strike)
+    return payoff
+
+
 def mc_european(model, payoff, cfg, stepping="euler"):
     """Monte Carlo price and standard error from s0 = 100 at T = 1, r = 5%."""
     term = simulate_terminal(model, 100.0, 1.0, cfg, stepping=stepping)
@@ -270,7 +278,7 @@ class TestCrankNicolson:
     def test_non_finite_input_raises(self, model, strike):
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="infs or NaNs"):
-            cn_bermudan(model, 100.0, 1.0, 0.05, VanillaPayoff("put", strike),
+            cn_bermudan(model, 100.0, 1.0, 0.05, unchecked_put(strike),
                         [], FdConfig(64, 100))
 
     def test_zero_pivot_raises(self):

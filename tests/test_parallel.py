@@ -7,6 +7,7 @@ child must not wait on threads it did not inherit.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_monte_carlo_chunks_are_bit_identical(monkeypatch):
     assert t1.shape == m1.shape == (cfg.paths,)
     assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
     assert np.any(t1 == 0.0) and np.all(m1 >= CEV_LOW_ALPHA.s0)
+
+
+@pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
+def test_workers_without_sched_getaffinity(monkeypatch, cpus, want):
+    # macOS and Windows have no os.sched_getaffinity
+    model = cev_model(CEV_LOW_ALPHA)
+    cfg = McConfig(paths=20001, steps=12, seed=9)
+
+    def run():
+        return oracles.simulate_terminal(model, CEV_LOW_ALPHA.s0, 1.0, cfg,
+                                         "absorbing")
+
+    before = run()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _pool.workers() == want
+    assert np.array_equal(run(), before)
 
 
 def forked_assembly(batch, gam, conn):

@@ -46,6 +46,11 @@ class TestPayoff:
         with pytest.raises(ValueError):
             BarrierSpec(level=0.0)
 
+    @pytest.mark.parametrize("strike", [np.nan, np.inf])
+    def test_non_finite_strike_refused(self, strike):
+        with pytest.raises(ValueError, match="strike must be finite"):
+            VanillaPayoff("put", strike=strike)
+
 
 class TestEuropean:
     def test_zero_payoff(self, gbm_seq):

@@ -34,7 +34,7 @@ def batch(*rows):
 def affine_law(base, m, c):
     """The law of m Z + c, Z ~ ``base``, on the real line.
 
-    For m < 0 the cdf and partial moments are those of the law up to sign
+    For m < 0 the cdf and partial moment are those of the law up to sign
     and an additive constant, which cancel in the region differences that
     quantization reads.
     """
@@ -47,11 +47,9 @@ def affine_law(base, m, c):
         f, F, M1 = base.fFM(z(x))
         return f / abs(m), s * F, s * (c * F + m * M1)
 
-    def m2(x):
-        _, F, M1 = base.fFM(z(x))
-        return s * (c * c * F + 2.0 * c * m * M1 + m * m * base.m2(z(x)))
-
-    return ScalarDistribution(fFM=fFM, m2=m2)
+    mean = float(base.fFM(np.inf)[2])
+    second_moment = m * m * base.second_moment + 2.0 * m * c * mean + c * c
+    return ScalarDistribution(fFM=fFM, second_moment=second_moment)
 
 
 def mixture_distortion(gam, prev, updates):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rmquant import CevParams, GbmParams, cev_model, gbm_exact_marginal
 
@@ -35,6 +36,13 @@ class TestGbm:
         with pytest.raises(ValueError):
             GbmParams(s0=100.0, r=0.05, sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["s0", "r", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_refused(self, field, value):
+        fields = {"s0": 100.0, "r": 0.05, "sigma": 0.3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GbmParams(**fields)
+
 
 class TestCev:
     def test_sigma_construction(self):
@@ -62,6 +70,14 @@ class TestCev:
             CevParams(s0=100.0, r=0.05, alpha=1.0, sigma_ln=0.3)
         with pytest.raises(ValueError):
             CevParams(s0=100.0, r=0.05, alpha=0.0, sigma_ln=0.3)
+
+    @pytest.mark.parametrize("field", ["s0", "r", "sigma_ln"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_refused(self, field, value):
+        fields = {"s0": 100.0, "r": 0.05, "alpha": 0.7, "sigma_ln": 0.3,
+                  field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CevParams(**fields)
 
     def test_alpha_near_one_approaches_gbm(self, gbm):
         near = cev_model(CevParams(s0=100.0, r=0.05, alpha=0.999,
@@ -96,7 +112,12 @@ class TestGbmExactMarginal:
         pts = rng.uniform(40.0, 260.0, 150)
         assert_derivative(d.cdf, d.pdf, pts)
         assert_derivative(d.m1, lambda x: x * d.pdf(x), pts)
-        assert_derivative(d.m2, lambda x: x * x * d.pdf(x), pts)
+
+    def test_second_moment_matches_quadrature(self):
+        d = gbm_exact_marginal(GBM, 1.0)
+        ref = sum(quad(lambda t: t * t * d.pdf(t), a, b, limit=200)[0]
+                  for a, b in ((0.0, 100.0), (100.0, np.inf)))
+        assert d.second_moment == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from rmquant import (Ncx2Params, ScalarDistribution, distortion,
-                     distortion_gradient, distortion_hessian, initial_guess,
-                     ncx2_1_funcs, newton_quantize, reflect_funcs,
-                     region_boundaries, std_normal_funcs)
+from rmquant import (GbmParams, Ncx2Params, ScalarDistribution, distortion,
+                     distortion_gradient, distortion_hessian,
+                     gbm_exact_marginal, initial_guess, ncx2_1_funcs,
+                     newton_quantize, reflect_funcs, region_boundaries,
+                     std_normal_funcs)
 from rmquant import vq1d
 from rmquant.vq1d import Quantizer
 
@@ -63,7 +65,42 @@ class TestRegions:
         assert np.all(rb.lowers < gam) and np.all(gam <= rb.uppers)
 
 
+def quadrature_distortion(dist, gam):
+    """E[(X - q(X))^2] by quadrature of each region of the grid ``gam``."""
+    edges = region_boundaries(gam, dist.support).edges
+    return sum(quad(lambda t, g=g: (t - g) ** 2 * dist.pdf(t), a, b,
+                    limit=200)[0]
+               for g, a, b in zip(gam, edges[:-1], edges[1:]))
+
+
+def _quadrature_cases():
+    normal = std_normal_funcs()
+    ncx2 = {lam: ncx2_1_funcs(Ncx2Params(lam=lam)) for lam in (0.0, 2.0, 17.0)}
+    return {
+        "normal": (normal, [-1.2, 0.1, 0.9, 2.0]),
+        "ncx2_0": (ncx2[0.0], [0.1, 0.8, 2.5]),
+        "ncx2_2": (ncx2[2.0], [0.5, 2.0, 4.0, 7.0]),
+        "ncx2_17": (ncx2[17.0], [8.0, 14.0, 18.0, 24.0, 32.0]),
+        "reflected_normal": (reflect_funcs(normal, -0.5), [-0.3, 0.4, 1.5]),
+        "reflected_ncx2": (reflect_funcs(ncx2[2.0], 0.6), [0.8, 2.0, 5.0]),
+        # its density jumps at 2, the fold of -1 about 0.5: an edge here
+        "twice_reflected_normal": (
+            reflect_funcs(reflect_funcs(normal, -1.0), 0.5), [0.7, 1.3, 2.7]),
+        "gbm_marginal": (gbm_exact_marginal(GbmParams(100.0, 0.05, 0.3), 1.0),
+                         [60.0, 90.0, 110.0, 150.0]),
+    }
+
+
+QUADRATURE_CASES = _quadrature_cases()
+
+
 class TestDistortion:
+    @pytest.mark.parametrize("name", QUADRATURE_CASES)
+    def test_matches_quadrature(self, name):
+        d, gam = QUADRATURE_CASES[name]
+        assert distortion(d, gam) == pytest.approx(
+            quadrature_distortion(d, gam), rel=1e-9)
+
     def test_one_point_at_mean_gives_variance(self):
         d = std_normal_funcs()
         assert distortion(d, [0.0]) == pytest.approx(1.0, rel=1e-12)
@@ -83,13 +120,13 @@ class TestDistortion:
         pm = ScalarDistribution(
             fFM=lambda x: (np.zeros_like(np.asarray(x, float)), step(x),
                            loc * step(x)),
-            m2=lambda x: loc * loc * step(x))
+            second_moment=loc * loc)
         assert distortion(pm, [loc]) == pytest.approx(0.0, abs=1e-14)
 
-    def test_missing_m2_reported(self):
+    def test_missing_second_moment_reported(self):
         d = std_normal_funcs()
         bare = ScalarDistribution(fFM=d.fFM)
-        with pytest.raises(ValueError, match="m2"):
+        with pytest.raises(ValueError, match="second_moment"):
             distortion(bare, [0.0])
 
 
@@ -249,6 +286,7 @@ class TestLawEvaluationCount:
     def test_reflection_calls_base_twice(self):
         base, calls = counted(ncx2_1_funcs(self.NCX2))
         refl = reflect_funcs(base, 0.3)
+        calls.clear()   # the second moment reads the base law once
         distortion_gradient(refl, 0.301 + np.linspace(0.05, 14.0, 20))
         assert calls == [21, 21]
 
