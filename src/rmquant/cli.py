@@ -349,8 +349,10 @@ def cmd_price(ns) -> int:
     atm = ns.strike if ns.strike is not None else params.s0
     strikes = (ns.strikes * params.s0 if ns.strikes is not None
                else np.array([atm]))
-    # Built before the run, so that a bad strike is refused at once.
+    # Built before the run, so that a bad strike or grid is refused at once.
     payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
+    if ns.instrument == "bermudan":
+        fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
     seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     mc_boundary = ns.boundary if ns.model == "cev" else "free"
     if mc_ref:
@@ -380,7 +382,6 @@ def cmd_price(ns) -> int:
             add_row(strike, european_price(seq, payoff, r), ref, se)
     elif ns.instrument == "bermudan":
         dates = [k * ns.T / ns.K for k in range(1, ns.K)]
-        fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
         for strike, payoff in zip(strikes, payoffs):
             add_row(strike, bermudan_price(seq, payoff, r),
                     cn_bermudan(model, params.s0, ns.T, r, payoff, dates,

@@ -74,8 +74,9 @@ class FdConfig:
     def __post_init__(self):
         if self.time_steps < 1 or self.space_steps < 3:
             raise ValueError("grid sizes must be positive (>= 3 space steps)")
-        if not self.s_max_mult > 0.0:
-            raise ValueError("s_max_mult must be positive")
+        if not 0.0 < self.s_max_mult < np.inf:
+            raise ValueError(f"s_max_mult must be positive and finite, "
+                             f"got {self.s_max_mult}")
 
 
 def black_scholes(kind: str, s0: float, strike: float, r: float,

@@ -74,17 +74,15 @@ def bermudan_price(seq: QuantizationSequence, payoff: VanillaPayoff,
 
 def barrier_up_out_price(seq: QuantizationSequence, payoff: VanillaPayoff,
                          barrier: BarrierSpec, r: float) -> float:
-    """Discretely monitored up-and-out price via the survival kernel.
+    """Discretely monitored up-and-out price, carried on the states.
 
-    Each transition matrix is Hadamard-multiplied by the one-step survival
-    indicator 1{max(from, to) < L}; inception counts as a monitoring date,
-    so a barrier at or below the initial state prices to zero.
+    The surviving mass is masked by 1{codeword < L} on each grid, then moved
+    through the next transition matrix; inception counts as a monitoring
+    date, so a barrier at or below the initial state prices to zero.
     """
     L = barrier.level
-    g1 = (np.maximum(seq.s0, seq.codewords[0]) < L).astype(float)
-    row = seq.probabilities[0] * g1
-    for k in range(1, seq.n_steps):
-        G = (np.maximum.outer(seq.codewords[k - 1], seq.codewords[k]) < L)
-        row = row @ (seq.transitions[k - 1] * G)
+    row = seq.probabilities[0] * ((seq.s0 < L) & (seq.codewords[0] < L))
+    for P, cw in zip(seq.transitions, seq.codewords[1:]):
+        row = (row @ P) * (cw < L)
     h = payoff.values(seq.codewords[-1])
     return float(np.exp(-r * seq.horizon) * (row @ h))

@@ -42,7 +42,9 @@ ABSORBING = "absorbing"
 REFLECTING = "reflecting"
 BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 
-PROB_FLOOR = 1e-14  # previous-step components below this are skipped
+# Previous-step components below this get weight 0 in the mixture; their
+# transition rows are still assembled, since the stored matrix keeps them all.
+PROB_FLOOR = 1e-14
 ROW_SUM_TOL = 1e-12  # loaded transition rows may exceed mass 1 by this
 MARKOV_TOL = 1e-10  # loaded |p_k P_k - p_{k+1}| may not exceed this
 _BLOCK_CELLS = 65536  # law cells per row block of the transition assembly
@@ -339,6 +341,9 @@ def _check_chain(doc, codewords, probabilities, transitions):
     s0, horizon, scheme = doc["s0"], doc["horizon"], doc["scheme"]
     need(isinstance(s0, (int, float)) and np.isfinite(s0),
          f"s0 {s0!r} is not a finite number")
+    # gbm and cev live on (0, inf); a custom model's domain is not stored
+    need(doc["model"] not in ("gbm", "cev") or s0 > 0.0,
+         f"s0 {s0!r} is not positive for model {doc['model']!r}")
     need(isinstance(horizon, (int, float)) and 0.0 < horizon < np.inf,
          f"horizon {horizon!r} is not a positive finite number")
     need(scheme in tuple(SCHEME_BUILDERS), f"unknown scheme {scheme!r}")

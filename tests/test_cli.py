@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from rmquant import VanillaPayoff, european_price, load_sequence_json
+from rmquant import cli
 from rmquant.cli import main
 
 
@@ -374,9 +376,15 @@ def test_seed_only_where_monte_carlo_runs(command):
     (["dist-error", "--grid-points", "0"], "--grid-points must be >= 1"),
     (["vq", "--dist", "ncx2", "--lambda", "inf"],
      "noncentrality must be finite"),
+    (["price", "bermudan", "--fd-smax-mult", "inf"], "s_max_mult"),
 ], ids=["strike-nan", "strike-inf", "r-nan", "r-inf", "sigma-inf",
-        "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf"])
-def test_invalid_numbers_are_usage_errors(capsys, argv, named):
+        "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
+        "fd-smax-mult-inf"])
+def test_invalid_numbers_are_usage_errors(capsys, monkeypatch, argv, named):
+    def quantize(*args, **kwargs):
+        pytest.fail("the input should be refused before quantization runs")
+
+    monkeypatch.setattr(cli, "rmq_run", quantize)
     small = [] if argv[0] == "vq" else SMALL_GRID
     assert main([*argv, *small]) == 2
     out, err = capsys.readouterr()
@@ -392,3 +400,22 @@ def test_non_finite_range_is_refused(capsys, instrument, flag, value):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and flag in err and "finite" in err
+
+
+def readme_commands():
+    """The ``rmquant ...`` examples of README's "Command line" block, with
+    continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [ln.split() for ln in block.splitlines()
+            if ln.startswith("rmquant ")]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) == 9
+    parser = cli.build_parser()
+    for argv in commands:
+        ns = parser.parse_args(argv[1:])
+        assert ns.func is not None

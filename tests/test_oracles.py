@@ -155,6 +155,9 @@ class TestMcPrice:
             McConfig(paths=0, steps=10, seed=1)
         with pytest.raises(ValueError):
             McConfig(paths=10, steps=10, seed=1, monitoring_stride=3)
+        for mult in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="s_max_mult"):
+                FdConfig(64, 100, s_max_mult=mult)
 
 
 def cn_reference(model, s0, T, r, payoff, exercise_dates, cfg):

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rmquant import (BarrierSpec, QuantizationSequence, Schedule,
                      VanillaPayoff, barrier_up_out_price, bermudan_price,
                      black_scholes, european_price, rmq_run)
+
+from conftest import CEV_LOW_ALPHA
 
 R = 0.05
 
@@ -12,6 +16,19 @@ R = 0.05
 def gbm_seq(gbm):
     sched = Schedule(T=1.0, K=12, n_per_step=150)
     return rmq_run(gbm, "weak2", 100.0, sched, "free")
+
+
+def barrier_reference(seq, payoff, barrier, r):
+    """The up-and-out price through the one-step survival kernel: each
+    transition matrix times 1{max(from, to) < L}, element by element."""
+    L = barrier.level
+    g1 = (np.maximum(seq.s0, seq.codewords[0]) < L).astype(float)
+    row = seq.probabilities[0] * g1
+    for k in range(1, seq.n_steps):
+        G = (np.maximum.outer(seq.codewords[k - 1], seq.codewords[k]) < L)
+        row = row @ (seq.transitions[k - 1] * G)
+    h = payoff.values(seq.codewords[-1])
+    return float(np.exp(-r * seq.horizon) * (row @ h))
 
 
 def hand_built_sequence():
@@ -116,6 +133,51 @@ class TestBarrier:
         assert prices[-1] <= european_price(gbm_seq, payoff, R) + 1e-12
 
 
+class TestBarrierOnStates:
+    @pytest.fixture(scope="class", params=["free", "absorbing", "reflecting"])
+    def seq(self, request, gbm, cev_low_alpha):
+        sched = Schedule(T=1.0, K=6, n_per_step=60)
+        if request.param == "free":
+            return rmq_run(gbm, "weak2", 100.0, sched, "free")
+        return rmq_run(cev_low_alpha, "euler", CEV_LOW_ALPHA.s0, sched,
+                       request.param)
+
+    @pytest.mark.parametrize("kind", ["put", "call"])
+    def test_equals_survival_kernel(self, seq, kind):
+        cw = seq.codewords[2]
+        above = cw[cw > seq.s0]
+        levels = [0.5 * seq.s0, seq.s0, above[3],
+                  0.5 * (above[5] + above[6]),
+                  2.0 * max(c[-1] for c in seq.codewords), 1e12]
+        payoff = VanillaPayoff(kind, seq.s0)
+        for level in levels:
+            barrier = BarrierSpec(level=float(level))
+            assert barrier_up_out_price(seq, payoff, barrier, R) == \
+                barrier_reference(seq, payoff, barrier, R)
+
+    def test_no_n_by_n_temporary(self):
+        n = 1000
+        rng = np.random.default_rng(7)
+        cws, ps, Ps = [np.linspace(50.0, 150.0, n)], [np.full(n, 1.0 / n)], []
+        for _ in range(3):
+            P = rng.random((n, n))
+            Ps.append(P / P.sum(axis=1, keepdims=True))
+            cws.append(cws[-1] * 1.01)
+            ps.append(ps[-1] @ Ps[-1])
+        seq = QuantizationSequence(
+            scheme="euler", boundary="free", model_kind="gbm", s0=100.0,
+            horizon=1.0, codewords=cws, probabilities=ps, transitions=Ps)
+        payoff, barrier = VanillaPayoff("put", 100.0), BarrierSpec(120.0)
+        tracemalloc.start()
+        try:
+            price = barrier_up_out_price(seq, payoff, barrier, R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert price > 0.0
+        assert peak < n * n
+
+
 class TestZeroStateParticipation:
     def test_european_hand_sum(self):
         seq = hand_built_sequence()
@@ -140,11 +202,6 @@ class TestZeroStateParticipation:
     def test_barrier_hand_sum(self):
         seq = hand_built_sequence()
         payoff = VanillaPayoff("put", 100.0)
-        L = 110.0
-        g1 = (np.maximum(100.0, seq.codewords[0]) < L).astype(float)
-        G = (np.maximum.outer(seq.codewords[0], seq.codewords[1]) < L)
-        row = (seq.probabilities[0] * g1) @ (seq.transitions[0] * G)
-        want = np.exp(-R * 0.5) * float(
-            row @ np.maximum(100.0 - seq.codewords[1], 0.0))
-        got = barrier_up_out_price(seq, payoff, BarrierSpec(level=L), R)
-        assert got == pytest.approx(want, abs=1e-15)
+        barrier = BarrierSpec(level=110.0)
+        assert barrier_up_out_price(seq, payoff, barrier, R) == \
+            barrier_reference(seq, payoff, barrier, R)

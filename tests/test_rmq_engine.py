@@ -446,6 +446,10 @@ def _nan_s0(doc):
     doc["s0"] = float("nan")
 
 
+def _non_positive_s0(doc):
+    doc["s0"] = 0.0   # the free dump is GBM, whose states lie in (0, inf)
+
+
 def _unknown_scheme(doc):
     doc["scheme"] = "runge-kutta"
 
@@ -485,7 +489,8 @@ class TestLoadedSequenceChecks:
         _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
         _swap_codewords, _negative_entry, _break_markov, _drop_column,
         _keep_only_schema, _drop_step_probabilities, _drop_model,
-        _negative_horizon, _infinite_horizon, _nan_s0, _unknown_scheme,
+        _negative_horizon, _infinite_horizon, _nan_s0, _non_positive_s0,
+        _unknown_scheme,
         _stretch_horizon, _drop_step_time, *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
         doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
