@@ -1,14 +1,14 @@
 """Order-preserving map over a lazily created, process-wide thread pool.
 
-The two hot kernels, the transition assembly of ``rmq_engine`` and the
-Monte Carlo paths of ``oracles``, split into pieces whose results do not
-depend on the order in which they run; numpy and scipy release the
-interpreter lock inside those pieces, so threads use every core.  The
-pool has one thread per core this process may run on
-(``os.sched_getaffinity``, or ``os.cpu_count`` on platforms without it);
-one core means a plain serial loop.  A forked child does not inherit the
-parent's threads, so the pool is created again when the process id
-changes.
+The two hot kernels, the row blocks of a Newton evaluation in
+``rmq_engine`` and the Monte Carlo paths of ``oracles``, split into
+pieces whose results do not depend on the order in which they run; numpy
+and scipy release the interpreter lock inside those pieces, so threads
+use every core.  The pool has one thread per core this process may run
+on (``os.sched_getaffinity``, or ``os.cpu_count`` on platforms without
+it); one core means a plain serial loop.  A forked child does not
+inherit the parent's threads, so the pool is created again when the
+process id changes.
 """
 
 from __future__ import annotations

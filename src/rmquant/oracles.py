@@ -147,17 +147,17 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         for j in range(cfg.steps):
             if stepping == "gbm_exact":
                 s = s * np.exp(loc + scale * z[:, j])
-            else:
+            elif boundary == "absorbing":
                 s_eval = np.where(dead, 1.0, s)
                 step = model.a(s_eval) * dt + model.b(s_eval) * sq * z[:, j]
                 s_new = np.where(dead, 0.0, s + step)
-                if boundary == "absorbing":
-                    dead = dead | (s_new <= 0.0)
-                    s = np.where(dead, 0.0, s_new)
-                elif boundary == "reflecting":
-                    s = np.abs(s_new)
-                else:
-                    s = s_new
+                dead = dead | (s_new <= 0.0)
+                s = np.where(dead, 0.0, s_new)
+            else:
+                # free and reflecting paths never die
+                s = s + (model.a(s) * dt + model.b(s) * sq * z[:, j])
+                if boundary == "reflecting":
+                    s = np.abs(s)
             if want_running_max and (j + 1) % cfg.monitoring_stride == 0:
                 np.maximum(smax, s, out=smax)
         return s, smax

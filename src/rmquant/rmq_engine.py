@@ -47,7 +47,7 @@ BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 PROB_FLOOR = 1e-14
 ROW_SUM_TOL = 1e-12  # loaded transition rows may exceed mass 1 by this
 MARKOV_TOL = 1e-10  # loaded |p_k P_k - p_{k+1}| may not exceed this
-_BLOCK_CELLS = 65536  # law cells per row block of the transition assembly
+_BLOCK_CELLS = 65536  # law cells per row block of a Newton evaluation
 
 GRID_SCHEMA = "rmquant.grid.v1"
 SEQUENCE_SCHEMA = "rmquant.sequence.v1"
@@ -116,59 +116,53 @@ def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
     return z, xbar
 
 
-def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str,
-              out=(None, None, None)):
-    """(P, M, f) of the rows of ``batch``, with f at every edge.
-
-    Fresh matrices unless ``out`` holds three to write them into.
-    """
-    P, M, f = out
+def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str):
+    """(P, M, f) of the rows of ``batch``, with f at every edge."""
     fz, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
-    P = np.subtract(F[:, 1:], F[:, :-1], out=P)
+    P = np.subtract(F[:, 1:], F[:, :-1])
     if not np.all(batch.m > 0.0):
         P *= np.sign(batch.m)[:, None]
     np.maximum(P, 0.0, out=P)
-    M = np.subtract(M1[:, 1:], M1[:, :-1], out=M)
-    if f is None:
-        return P, M, fz
-    f[:, 1:-1] = fz[:, 1:-1]
-    return P, M, f
+    M = np.subtract(M1[:, 1:], M1[:, :-1])
+    return P, M, fz
+
+
+def _next_edges(next_codewords: np.ndarray, boundary: str) -> np.ndarray:
+    return voronoi_edges(next_codewords,
+                         -np.inf if boundary == FREE else 0.0, np.inf)
 
 
 def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
                 boundary: str):
-    """(P, M, f) on one candidate next grid: transition probabilities and
-    first-partial-moment increments, N_k x N_next, and the densities at the
-    inner boundaries, N_k x (N_next - 1).
+    """(P, M, f) on one candidate next grid, in one whole-matrix pass:
+    transition probabilities and first-partial-moment increments,
+    N_k x N_next, and the densities at the inner boundaries,
+    N_k x (N_next - 1).
 
-    Every row depends on its own update alone, so large matrices are
-    assembled in row blocks of about ``_BLOCK_CELLS`` cells spread over the
-    thread pool; each cell gets the same bits as in one whole-matrix pass.
-    A matrix of one block takes that pass directly, into fresh arrays
-    (writing it into preallocated ones costs page faults on every call).
+    The mixture evaluator calls it for grids of one row block; larger
+    grids never hold the whole M and f (see ``_mixture_evaluator``).
     """
-    edges = voronoi_edges(next_codewords,
-                          -np.inf if boundary == FREE else 0.0, np.inf)
-    n, rows = batch.size, -(-_BLOCK_CELLS // edges.size)
-    if n <= rows:
-        P, M, f = _assemble(batch, edges, boundary)
-    else:
-        # f keeps the layout of a whole-matrix pass: the inner columns of
-        # an n x (N+1) array, which the evaluator's matvec reads.
-        out = (np.empty((n, edges.size - 1)), np.empty((n, edges.size - 1)),
-               np.empty((n, edges.size)))
-
-        def fill(lo):
-            sl = slice(lo, lo + rows)
-            _assemble(batch.rows(sl), edges, boundary, tuple(a[sl] for a in out))
-
-        _pool.pmap(fill, range(0, n, rows))
-        P, M, f = out
+    P, M, f = _assemble(batch, _next_edges(next_codewords, boundary), boundary)
     return P, M, f[:, 1:-1]
 
 
+def _joined(blocks: List[np.ndarray]) -> np.ndarray:
+    """The transition matrix of an evaluation from its P row blocks."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
-    """Closure computing gradient/Hessian/centroids of the mixture distortion."""
+    """Closure computing gradient/Hessian/centroids of the mixture distortion.
+
+    Its four mixture sums are ``pw @ P``, ``p_c @ P``, ``p_m @ M`` and
+    ``p_f @ f``.  Every row of P, M and f depends on its own update alone,
+    so a large grid is evaluated in row blocks of about ``_BLOCK_CELLS``
+    cells spread over the thread pool.  Each block returns its P rows and
+    its four partial sums, which are added in block order; M and f never
+    exist whole.  The split depends on the grid size alone, so results are
+    the same at any thread count.  The evaluation's ``aux`` starts with
+    the list of its P row blocks (``_joined`` makes the matrix).
+    """
     absm = np.abs(batch.m)
     pw = np.where(prev_p < PROB_FLOOR, 0.0, prev_p)
     p_c = pw * batch.c
@@ -176,10 +170,25 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     p_f = pw / absm
 
     def evaluate(gam: np.ndarray):
-        # aux keeps M and f alive with P: freed at once, their pages go back
-        # to the OS and every evaluation faults them in again (N=200: +25%).
-        P, M, f = mats = _z_matrices(batch, gam, boundary)
-        return step_eval(gam, pw @ P, p_c @ P, p_m @ M, p_f @ f, aux=mats)
+        n, rows = batch.size, -(-_BLOCK_CELLS // (gam.size + 1))
+        if n <= rows:
+            # One block: a whole-matrix pass into fresh arrays.  aux keeps
+            # M and f alive with P: freed at once, their pages go back to
+            # the OS and every evaluation faults them in again (N=200: +25%).
+            P, M, f = _z_matrices(batch, gam, boundary)
+            return step_eval(gam, pw @ P, p_c @ P, p_m @ M, p_f @ f,
+                             aux=([P], M, f))
+        edges = _next_edges(gam, boundary)
+
+        def block(lo):
+            sl = slice(lo, lo + rows)
+            P, M, f = _assemble(batch.rows(sl), edges, boundary)
+            return P, (pw[sl] @ P, p_c[sl] @ P, p_m[sl] @ M,
+                       p_f[sl] @ f[:, 1:-1])
+
+        blocks, sums = zip(*_pool.pmap(block, range(0, n, rows)))
+        # each of the four sums adds its blocks' parts in block order
+        return step_eval(gam, *map(sum, zip(*sums)), aux=(list(blocks),))
 
     return evaluate
 
@@ -458,7 +467,7 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         evaluate = _mixture_evaluator(prev_p, batch, boundary)
         gam, ev = damped_newton(guess, evaluate, n_iter, lo=newton_lo)
         _check_domain(gam, model, k)
-        P = ev.aux[0]
+        P = _joined(ev.aux[0])
         p_next = prev_p @ P
         if boundary == ABSORBING:
             aug = np.zeros((P.shape[0] + 1, P.shape[1] + 1))

@@ -6,7 +6,9 @@ ATM European, Bermudan and up-and-out barrier (level 1.2 s0) put prices,
 plus the README ``vq`` grids (normal and ncx2 with lambda=4, N=50, 20
 iterations), the grid of ncx2(lambda=4) reflected about 0.3 (N=50, 50
 iterations), and the (f, F, M1) of ``gbm_exact_marginal`` and the
-(F, M1) of a seeded ``empirical_cdf`` on a fixed set of points.  The
+(F, M1) of a seeded ``empirical_cdf`` on a fixed set of points.  One
+larger run, GBM weak2 on a free boundary at K=4, N=1000, pins the
+row-block evaluation of grids too large for one block.  The
 stored ``gbm_exact_marginal`` array has a fourth row, E[S^2 1{S < x}],
 which the law no longer computes and the test does not read.
 Transition matrices are not stored; the probabilities pin them through
@@ -34,6 +36,13 @@ from rmquant.vq1d import initial_guess
 DATA = Path(__file__).with_name("data") / "golden.npz"
 RTOL = 1e-13   # codewords and prices, relative
 ATOL = 1e-13   # probabilities, absolute
+# The row-block run adds its blocks' partial sums, an order that no single
+# matrix product follows.  Its arrays were made with whole-matrix products,
+# from which the block sums move its codewords by up to 1.5e-11 relative
+# and its probabilities by 1.2e-13; at K=16 the moves reached 2.1e-11 and
+# 2.9e-13.
+BLOCK_RTOL = 1e-10
+BLOCK_ATOL = 1e-12
 
 GBM = GbmParams(s0=100.0, r=0.05, sigma=0.3)
 CEV_LOW_ALPHA = CevParams(s0=0.5, r=0.05, alpha=0.35, sigma_ln=0.5)
@@ -47,6 +56,9 @@ CASES = (
     ("cev", "weak2", "absorbing"),
     ("cev", "weak2", "reflecting"),
 )
+BLOCK_CASE = "gbm_weak2_free_n1000"
+BLOCK_SCHEDULE = Schedule(T=1.0, K=4, n_per_step=1000, n_max_vq=50,
+                          n_max_rmq=5)
 VQ_CASES = (("normal", None), ("ncx2", 4.0))
 LAW_NAMES = ("gbm_exact_marginal", "empirical_cdf")
 LAW_POINTS = np.concatenate([[-1.0, 0.0], np.linspace(40.0, 220.0, 46),
@@ -71,6 +83,10 @@ def _run_case(model, scheme, boundary):
                              params.r),
     ])
     return seq, prices
+
+
+def _block_run():
+    return rmq_run(gbm_model(GBM), "weak2", GBM.s0, BLOCK_SCHEDULE, "free")
 
 
 def _vq_grid(family, lam):
@@ -105,6 +121,10 @@ def build_golden() -> dict:
             out[f"{name}/codewords/{k}"] = seq.codewords[k]
             out[f"{name}/probabilities/{k}"] = seq.probabilities[k]
         out[f"{name}/prices"] = prices
+    seq = _block_run()
+    for k in range(seq.n_steps):
+        out[f"{BLOCK_CASE}/codewords/{k}"] = seq.codewords[k]
+        out[f"{BLOCK_CASE}/probabilities/{k}"] = seq.probabilities[k]
     for family, lam in VQ_CASES:
         q = _vq_grid(family, lam)
         out[f"vq_{family}/codewords"] = q.codewords
@@ -137,6 +157,19 @@ def test_paper_sequence_matches_golden(golden, case):
                                    rtol=0.0, atol=ATOL)
     np.testing.assert_allclose(prices, golden[f"{name}/prices"],
                                rtol=RTOL, atol=0.0)
+
+
+def test_row_block_sequence_matches_golden(golden):
+    seq = _block_run()
+    assert seq.n_steps == BLOCK_SCHEDULE.K
+    assert seq.codewords[0].size == BLOCK_SCHEDULE.n_per_step
+    for k in range(seq.n_steps):
+        np.testing.assert_allclose(seq.codewords[k],
+                                   golden[f"{BLOCK_CASE}/codewords/{k}"],
+                                   rtol=BLOCK_RTOL, atol=0.0)
+        np.testing.assert_allclose(seq.probabilities[k],
+                                   golden[f"{BLOCK_CASE}/probabilities/{k}"],
+                                   rtol=0.0, atol=BLOCK_ATOL)
 
 
 @pytest.mark.parametrize("family,lam", VQ_CASES, ids=("normal", "ncx2"))

@@ -150,6 +150,32 @@ class TestMcPrice:
                                  "absorbing")
         assert np.mean(term == 0.0) > 0.0
 
+    @pytest.mark.parametrize("case", ["gbm-free", "cev-reflecting"])
+    def test_paths_that_never_die_follow_the_plain_euler_loop(
+            self, gbm, cev_low_alpha, case):
+        model, s0, boundary = {
+            "gbm-free": (gbm, 100.0, "free"),
+            "cev-reflecting": (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"),
+        }[case]
+        cfg = McConfig(paths=3001, steps=24, seed=13, monitoring_stride=4)
+        term, smax = simulate_terminal(model, s0, 1.0, cfg, boundary,
+                                       want_running_max=True)
+        z = path_normals(cfg.seed, 0, cfg.paths, cfg.steps)
+        dt = 1.0 / cfg.steps
+        s = np.full(cfg.paths, s0)
+        want_max = s.copy()
+        for j in range(cfg.steps):
+            step = model.a(s) * dt + model.b(s) * np.sqrt(dt) * z[:, j]
+            s = s + step
+            if boundary == "reflecting":
+                s = np.abs(s)
+            if (j + 1) % cfg.monitoring_stride == 0:
+                want_max = np.maximum(want_max, s)
+        assert np.array_equal(term, s)
+        assert np.array_equal(smax, want_max)
+        if boundary == "reflecting":
+            assert np.all(term > 0.0) and np.any(term < 0.1 * s0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(paths=0, steps=10, seed=1)

@@ -1,9 +1,10 @@
 """The threaded kernels give the same bits at any worker count.
 
-``_z_matrices`` assembles large matrices in row blocks and
-``simulate_terminal`` runs its path chunks on the pool of
-``rmquant._pool``; both must match a serial run exactly, and a forked
-child must not wait on threads it did not inherit.
+The mixture evaluator of ``rmq_engine`` folds a large grid's Newton
+evaluation into row blocks on the pool of ``rmquant._pool``, and
+``simulate_terminal`` runs its path chunks there; both must match a
+serial run exactly, and a forked child must not wait on threads it did
+not inherit.
 """
 
 import multiprocessing
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from rmquant import McConfig, _pool, cev_model, oracles, rmq_engine
+from rmquant._newton import step_eval
 from rmquant.affine_schemes import UpdateBatch
 
 from conftest import CEV_LOW_ALPHA
@@ -34,26 +36,61 @@ def with_workers(monkeypatch, n, fn, *args):
     return fn(*args)
 
 
+def prev_probabilities(rows):
+    """Previous-step probabilities with one component of mass 0."""
+    p = np.linspace(1.0, 2.0, rows)
+    p[5] = 0.0
+    return p / p.sum()
+
+
+def evaluation(batch, gam, boundary):
+    """One mixture evaluation at ``gam``, with its joined P."""
+    ev = rmq_engine._mixture_evaluator(prev_probabilities(batch.size), batch,
+                                       boundary)(gam)
+    return ev, rmq_engine._joined(ev.aux[0])
+
+
+EVAL_FIELDS = ("grad", "hess_diag", "hess_off", "centroids")
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_block_assembly_is_bit_identical(monkeypatch, boundary):
     rng = np.random.default_rng(11)
     n_next = 1000
     rows = 150          # blocks of 66 rows at N = 1000: 66 + 66 + 18
-    assert rows > -(-rmq_engine._BLOCK_CELLS // (n_next + 1))
+    assert rows > 2 * -(-rmq_engine._BLOCK_CELLS // (n_next + 1))
     batch = mixed_batch(rows, rng)
     gam = np.sort(rng.uniform(0.01, 30.0, n_next))
     if boundary == "free":
         gam -= 5.0
-    one, two = (with_workers(monkeypatch, n, rmq_engine._z_matrices, batch,
-                             gam, boundary) for n in (1, 2))
-    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", rows * (n_next + 1))
-    whole = rmq_engine._z_matrices(batch, gam, boundary)
-    for a, b, c in zip(one, two, whole):
-        assert a.shape == c.shape
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
-    P = one[0]
-    assert np.all(P >= 0.0) and P.sum(axis=1).max() <= 1.0 + 1e-12
+    (ev1, P1), (ev2, P2) = (with_workers(monkeypatch, n, evaluation, batch,
+                                         gam, boundary) for n in (1, 2))
+    assert len(ev1.aux[0]) == 3
+    for name in EVAL_FIELDS:
+        assert np.array_equal(getattr(ev1, name), getattr(ev2, name))
+    assert np.array_equal(P1, P2)
+    # every cell of a block gets the bits of one whole-matrix pass
+    whole, _, _ = rmq_engine._z_matrices(batch, gam, boundary)
+    assert np.array_equal(P1, whole)
+    assert np.all(P1 >= 0.0) and P1.sum(axis=1).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_one_block_evaluation_is_the_whole_matrix_pass(boundary):
+    rng = np.random.default_rng(12)
+    n_next = 200
+    rows = 120
+    assert rows <= -(-rmq_engine._BLOCK_CELLS // (n_next + 1))
+    batch = mixed_batch(rows, rng)
+    gam = np.sort(rng.uniform(0.01, 30.0, n_next))
+    ev, P = evaluation(batch, gam, boundary)
+    pw, absm = prev_probabilities(rows), np.abs(batch.m)
+    Pz, M, f = rmq_engine._z_matrices(batch, gam, boundary)
+    want = step_eval(gam, pw @ Pz, (pw * batch.c) @ Pz, (pw * absm) @ M,
+                     (pw / absm) @ f)
+    for name in EVAL_FIELDS:
+        assert np.array_equal(getattr(ev, name), getattr(want, name))
+    assert np.array_equal(P, Pz)
 
 
 def test_monte_carlo_chunks_are_bit_identical(monkeypatch):
@@ -87,8 +124,9 @@ def test_workers_without_sched_getaffinity(monkeypatch, cpus, want):
     assert np.array_equal(run(), before)
 
 
-def forked_assembly(batch, gam, conn):
-    conn.send(tuple(rmq_engine._z_matrices(batch, gam, "free")))
+def forked_evaluation(batch, gam, conn):
+    ev, P = evaluation(batch, gam, "free")
+    conn.send((ev.grad, P))
     conn.close()
 
 
@@ -96,19 +134,20 @@ def test_forked_child_assembles_without_the_parents_threads(monkeypatch):
     monkeypatch.setattr(_pool, "workers", lambda: 2)
     batch = mixed_batch(300, np.random.default_rng(3))
     gam = np.linspace(-3.0, 40.0, 300)   # 301 edges: two row blocks
-    parent = rmq_engine._z_matrices(batch, gam, "free")   # starts the pool
+    ev, P = evaluation(batch, gam, "free")   # starts the pool
+    assert len(ev.aux[0]) == 2
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=forked_assembly, args=(batch, gam, send))
+    child = ctx.Process(target=forked_evaluation, args=(batch, gam, send))
     child.start()
     send.close()
     try:
-        assert recv.poll(60), "forked child did not finish its assembly"
+        assert recv.poll(60), "forked child did not finish its evaluation"
         got = recv.recv()
     finally:
         child.join(10)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    for a, b in zip(parent, got):
+    for a, b in zip((ev.grad, P), got):
         assert np.array_equal(a, b)
