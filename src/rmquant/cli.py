@@ -88,8 +88,6 @@ def _parse_schemes(text: str) -> List[str]:
         if tok not in SCHEME_BUILDERS:
             raise argparse.ArgumentTypeError(f"unknown scheme {tok!r}")
         out.append(tok)
-    if not out:
-        raise argparse.ArgumentTypeError("no schemes given")
     return out
 
 
@@ -349,18 +347,20 @@ def cmd_price(ns) -> int:
     atm = ns.strike if ns.strike is not None else params.s0
     strikes = (ns.strikes * params.s0 if ns.strikes is not None
                else np.array([atm]))
-    # Built before the run, so that a bad strike or grid is refused at once.
+    # Built before the run, so that a bad strike, grid or Monte Carlo size
+    # is refused at once.
     payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
     if ns.instrument == "bermudan":
         fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
-    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
-    mc_boundary = ns.boundary if ns.model == "cev" else "free"
     if mc_ref:
         paths, steps = _mc_sizes(ns)
         stride = _monitoring_stride(steps, ns.K) if barrier else 1
-        cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
-                       monitoring_stride=stride)
-        mc = simulate_terminal(model, params.s0, ns.T, cfg, mc_boundary,
+        mc_cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
+                          monitoring_stride=stride)
+    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
+    mc_boundary = ns.boundary if ns.model == "cev" else "free"
+    if mc_ref:
+        mc = simulate_terminal(model, params.s0, ns.T, mc_cfg, mc_boundary,
                                want_running_max=barrier)
     disc = np.exp(-r * ns.T)
 

@@ -24,6 +24,7 @@ applied and every innovation law is replaced by its reflection about
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ import numpy as np
 from . import _pool
 from ._newton import damped_newton, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
-from .sde_models import SdeModel
-from .vq1d import Quantizer, initial_guess
+from .sde_models import CevParams, GbmParams, SdeModel, cev_model, gbm_model
+from .vq1d import Quantizer, checked_grid, initial_guess
 
 FREE = "free"
 ABSORBING = "absorbing"
@@ -45,12 +46,13 @@ BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 # Previous-step components below this get weight 0 in the mixture; their
 # transition rows are still assembled, since the stored matrix keeps them all.
 PROB_FLOOR = 1e-14
-ROW_SUM_TOL = 1e-12  # loaded transition rows may exceed mass 1 by this
-MARKOV_TOL = 1e-10  # loaded |p_k P_k - p_{k+1}| may not exceed this
+MARKOV_TOL = 1e-10  # loaded probabilities may differ from the replay by this
 _BLOCK_CELLS = 65536  # law cells per row block of a Newton evaluation
 
+# model kinds a sequence dump can rebuild: (parameter type, constructor)
+MODELS = {"gbm": (GbmParams, gbm_model), "cev": (CevParams, cev_model)}
 GRID_SCHEMA = "rmquant.grid.v1"
-SEQUENCE_SCHEMA = "rmquant.sequence.v1"
+SEQUENCE_SCHEMA = "rmquant.sequence.v2"
 
 
 class RmqError(Exception):
@@ -222,14 +224,16 @@ class QuantizationSequence:
 
     In absorbing mode every stored grid carries the zero state in front
     (codeword 0 with the accumulated absorbed mass) and the transition
-    matrices carry the matching absorbing row/column.  Instances are
-    immutable by convention once built and safe to share across threads.
+    matrices carry the matching absorbing row/column.  ``params`` holds the
+    model's parameters (None for a custom model or a hand-built sequence).
+    Instances are immutable by convention once built and safe to share
+    across threads.
     """
 
     def __init__(self, *, scheme: str, boundary: str, model_kind: str,
                  s0: float, horizon: float, codewords: List[np.ndarray],
                  probabilities: List[np.ndarray],
-                 transitions: List[np.ndarray]):
+                 transitions: List[np.ndarray], params=None):
         self.scheme = scheme
         self.boundary = boundary
         self.model_kind = model_kind
@@ -238,6 +242,7 @@ class QuantizationSequence:
         self.codewords = codewords
         self.probabilities = probabilities
         self.transitions = transitions
+        self.params = params
 
     @property
     def zero_state_mass(self) -> Optional[np.ndarray]:
@@ -269,27 +274,23 @@ class QuantizationSequence:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        doc = {
+        """The run (model, parameters, scheme, boundary, s0, horizon) and
+        each step's grid.  The transition matrices follow from these and
+        are recomputed on load, so a custom model cannot be written."""
+        if self.model_kind not in MODELS or self.params is None:
+            raise ValueError(f"cannot write model {self.model_kind!r} as JSON: "
+                             f"its parameters are not stored; dump it as CSV")
+        return {
             "schema": SEQUENCE_SCHEMA,
             "model": self.model_kind,
+            "params": dataclasses.asdict(self.params),
             "scheme": self.scheme,
             "boundary": self.boundary,
             "s0": self.s0,
             "horizon": self.horizon,
-            "steps": [
-                {
-                    "step": k + 1,
-                    "time": (k + 1) * self.dt,
-                    "codewords": self.codewords[k].tolist(),
-                    "probabilities": self.probabilities[k].tolist(),
-                }
-                for k in range(self.n_steps)
-            ],
-            "transitions": [P.tolist() for P in self.transitions],
+            "steps": [{"codewords": cw.tolist(), "probabilities": p.tolist()}
+                      for cw, p in zip(self.codewords, self.probabilities)],
         }
-        if self.boundary == ABSORBING:
-            doc["zero_state_mass"] = self.zero_state_mass.tolist()
-        return doc
 
     def dump_json(self, fh: IO[str]):
         json.dump(self.to_json_dict(), fh)
@@ -308,89 +309,68 @@ class QuantizationSequence:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuantizationSequence":
-        if doc.get("schema") != SEQUENCE_SCHEMA:
-            raise ValueError(f"unsupported sequence schema {doc.get('schema')!r}")
-        _require_fields(doc, "model", "scheme", "boundary", "s0", "horizon",
-                        "steps", "transitions")
-        for s in doc["steps"]:
-            _require_fields(s, "time", "codewords", "probabilities")
-        codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
-        probabilities = [np.asarray(s["probabilities"], dtype=float)
-                         for s in doc["steps"]]
-        transitions = [np.asarray(P, dtype=float) for P in doc["transitions"]]
-        _check_chain(doc, codewords, probabilities, transitions)
-        return cls(
-            scheme=doc["scheme"],
-            boundary=doc["boundary"],
-            model_kind=doc["model"],
-            s0=doc["s0"],
-            horizon=doc["horizon"],
-            codewords=codewords,
-            probabilities=probabilities,
-            transitions=transitions,
-        )
+        """Rebuild the run that ``doc`` describes and replay its recursion
+        on the stored grids, which recomputes every transition matrix.
+
+        The stored codewords must equal the replayed ones and the stored
+        probabilities match the replayed chain within ``MARKOV_TOL``; any
+        failure raises ValueError.  Returns the replayed sequence, which
+        is bit-identical to the run on the build that wrote ``doc``.
+        """
+        try:
+            return _replay(doc)
+        except (AttributeError, LookupError, TypeError, ValueError,
+                RmqError) as exc:
+            raise ValueError(f"inconsistent sequence: {exc}") from exc
 
 
 def _require_fields(doc: dict, *names: str):
     """Raise ValueError if ``doc`` lacks any of the fields ``names``."""
     missing = [n for n in names if n not in doc]
     if missing:
-        raise ValueError(f"inconsistent sequence: missing field "
-                         f"{', '.join(map(repr, missing))}")
+        raise ValueError(f"missing field {', '.join(map(repr, missing))}")
 
 
-def _check_chain(doc, codewords, probabilities, transitions):
-    """Raise ValueError unless the header fields of ``doc`` are usable, the
-    steps' times divide its horizon evenly and the arrays read from it form
-    a consistent Markov chain."""
-    def need(ok, what):
-        if not ok:
-            raise ValueError(f"inconsistent sequence: {what}")
+def _replay(doc: dict) -> QuantizationSequence:
+    if doc.get("schema") != SEQUENCE_SCHEMA:
+        raise ValueError(f"unsupported schema {doc.get('schema')!r}, "
+                         f"expected {SEQUENCE_SCHEMA!r}")
+    _require_fields(doc, "model", "params", "scheme", "boundary", "s0",
+                    "horizon", "steps")
+    if doc["model"] not in MODELS:
+        raise ValueError(f"unknown model {doc['model']!r}")
+    params_type, build_model = MODELS[doc["model"]]
+    model = build_model(params_type(**doc["params"]))
+    boundary = doc["boundary"]
+    _validate_boundary(boundary)
+    for s in doc["steps"]:
+        _require_fields(s, "codewords", "probabilities")
+    codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
+    probabilities = [np.asarray(s["probabilities"], dtype=float)
+                     for s in doc["steps"]]
+    live = slice(1 if boundary == ABSORBING else 0, None)
+    support = (-np.inf if boundary == FREE else 0.0, np.inf)
 
-    s0, horizon, scheme = doc["s0"], doc["horizon"], doc["scheme"]
-    need(isinstance(s0, (int, float)) and np.isfinite(s0),
-         f"s0 {s0!r} is not a finite number")
-    # gbm and cev live on (0, inf); a custom model's domain is not stored
-    need(doc["model"] not in ("gbm", "cev") or s0 > 0.0,
-         f"s0 {s0!r} is not positive for model {doc['model']!r}")
-    need(isinstance(horizon, (int, float)) and 0.0 < horizon < np.inf,
-         f"horizon {horizon!r} is not a positive finite number")
-    need(scheme in tuple(SCHEME_BUILDERS), f"unknown scheme {scheme!r}")
-    need(codewords and len(transitions) == len(codewords) - 1,
-         f"{len(codewords)} grids but {len(transitions)} transition matrices")
-    K = len(codewords)
-    for k, step in enumerate(doc["steps"], start=1):
-        t, want = step["time"], k * horizon / K
-        need(isinstance(t, (int, float)) and abs(t - want) <= 1e-12 * want,
-             f"step {k} time {t!r} is not {k}/{K} of horizon {horizon!r}")
-    for k, (cw, p) in enumerate(zip(codewords, probabilities), start=1):
-        need(cw.ndim == 1 and cw.size > 0 and p.shape == cw.shape,
-             f"step {k} codewords and probabilities are not aligned vectors")
-        need(np.all(np.isfinite(cw)) and np.all(np.diff(cw) > 0.0),
-             f"step {k} codewords are not strictly increasing")
-        need(np.all(p >= 0.0) and p.sum() <= 1.0 + MARKOV_TOL,
-             f"step {k} probabilities are negative or exceed mass 1")
-    for k, P in enumerate(transitions, start=1):
-        need(P.shape == (codewords[k - 1].size, codewords[k].size),
-             f"transition {k} has shape {P.shape}")
-        need(np.all(P >= 0.0) and np.all(P.sum(axis=1) <= 1.0 + ROW_SUM_TOL),
-             f"transition {k} has negative entries or row sums above 1")
-        drift = np.max(np.abs(probabilities[k - 1] @ P - probabilities[k]))
-        need(drift <= MARKOV_TOL,
-             f"step {k + 1} probabilities differ from p_{k} P_{k} by {drift:.3g}")
-    need(doc["boundary"] in BOUNDARY_MODES, f"unknown boundary {doc['boundary']!r}")
-    if doc["boundary"] != ABSORBING:
-        return
-    for k, cw in enumerate(codewords, start=1):
-        need(cw[0] == 0.0, f"step {k} does not start with the zero state")
-    for k, P in enumerate(transitions, start=1):
-        need(P[0, 0] == 1.0 and np.all(P[0, 1:] == 0.0),
-             f"transition {k} does not keep the zero state absorbing")
-    if doc.get("zero_state_mass") is not None:
-        zs = np.asarray(doc["zero_state_mass"], dtype=float)
-        p0 = np.array([p[0] for p in probabilities])
-        need(zs.shape == p0.shape and np.all(np.abs(zs - p0) <= MARKOV_TOL),
-             "zero_state_mass differs from the zero state's probabilities")
+    def stored(k, batch, prev_cw, evaluate):
+        gam = checked_grid(codewords[k - 1][live], support)
+        return gam, evaluate(gam)
+
+    # the stored grids stand in for Newton, so the budgets go unused
+    seq = _recursion(model, doc["scheme"], doc["s0"],
+                     Schedule(T=doc["horizon"], K=len(codewords)), boundary,
+                     stored)
+    for k, (cw, p, p_run) in enumerate(
+            zip(codewords, probabilities, seq.probabilities), start=1):
+        if not np.array_equal(cw, seq.codewords[k - 1]):
+            raise ValueError(f"step {k} codewords differ from the replayed grid")
+        if p.shape != p_run.shape:
+            raise ValueError(f"step {k} has {p.size} probabilities for "
+                             f"{p_run.size} codewords")
+        drift = np.max(np.abs(p - p_run))
+        if not drift <= MARKOV_TOL:
+            raise ValueError(f"step {k} probabilities differ from the "
+                             f"replayed chain by {drift:.3g}")
+    return seq
 
 
 def load_sequence_json(fh: IO[str]) -> QuantizationSequence:
@@ -427,15 +407,15 @@ def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
     )
 
 
-def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
-            boundary: str = FREE) -> QuantizationSequence:
-    """Quantize the discretized diffusion over the whole schedule.
+def _recursion(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+               boundary: str, step) -> QuantizationSequence:
+    """The chain of grids, probabilities and transition matrices.
 
-    Step one quantizes the exact one-step conditional law from ``s0``
-    (a single-component mixture) with the schedule's VQ iteration budget;
-    every later step starts from the previous grid and spends the smaller
-    recursive budget.  Probabilities are propagated through the transition
-    matrices recomputed at each accepted grid.
+    ``step(k, batch, prev_cw, evaluate)`` picks step k's grid and returns
+    it with ``evaluate`` at that grid, where ``batch`` holds the affine
+    updates out of ``prev_cw`` and ``evaluate`` is the mixture evaluator of
+    :func:`_mixture_evaluator`.  Probabilities are propagated through the
+    transition matrices of the returned evaluations.
     """
     _validate_boundary(boundary)
     if scheme not in SCHEME_BUILDERS:
@@ -446,7 +426,6 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         raise ValueError("s0 must lie inside the model's state domain")
     build = SCHEME_BUILDERS[scheme]
     dt = sched.dt
-    newton_lo = 0.0 if boundary != FREE else None
 
     prev_cw = np.array([float(s0)])
     prev_p = np.array([1.0])
@@ -458,14 +437,8 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     for k in range(1, sched.K + 1):
         batch = build(model, prev_cw, dt)
         _require_positive_scale(batch, boundary)
-        if k == 1:
-            guess = _step1_guess(batch, sched.n_per_step, boundary)
-            n_iter = sched.n_max_vq
-        else:
-            guess = prev_cw
-            n_iter = sched.n_max_rmq
         evaluate = _mixture_evaluator(prev_p, batch, boundary)
-        gam, ev = damped_newton(guess, evaluate, n_iter, lo=newton_lo)
+        gam, ev = step(k, batch, prev_cw, evaluate)
         _check_domain(gam, model, k)
         P = _joined(ev.aux[0])
         p_next = prev_p @ P
@@ -497,4 +470,26 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         codewords=codewords,
         probabilities=probabilities,
         transitions=transitions,
+        params=model.params,
     )
+
+
+def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+            boundary: str = FREE) -> QuantizationSequence:
+    """Quantize the discretized diffusion over the whole schedule.
+
+    Step one quantizes the exact one-step conditional law from ``s0``
+    (a single-component mixture) with the schedule's VQ iteration budget;
+    every later step starts from the previous grid and spends the smaller
+    recursive budget.  Probabilities are propagated through the transition
+    matrices recomputed at each accepted grid.
+    """
+    newton_lo = 0.0 if boundary != FREE else None
+
+    def newton(k, batch, prev_cw, evaluate):
+        if k == 1:
+            guess = _step1_guess(batch, sched.n_per_step, boundary)
+            return damped_newton(guess, evaluate, sched.n_max_vq, lo=newton_lo)
+        return damped_newton(prev_cw, evaluate, sched.n_max_rmq, lo=newton_lo)
+
+    return _recursion(model, scheme, s0, sched, boundary, newton)

@@ -49,10 +49,6 @@ class Quantizer:
         if np.any(pr < -1e-12) or np.any(pr > 1.0 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
 
-    @property
-    def size(self) -> int:
-        return self.codewords.shape[0]
-
 
 @dataclass(frozen=True)
 class RegionBounds:

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from rmquant import VanillaPayoff, european_price, load_sequence_json
+from rmquant import (GbmParams, VanillaPayoff, european_price,
+                     gbm_exact_marginal, load_sequence_json)
 from rmquant import cli
 from rmquant.cli import main
 
@@ -227,6 +230,21 @@ class TestDistError:
         points = [r for r in rows if r["kind"] == "point"]
         assert len(points) == 2 * 200
 
+    def test_single_step_implies_the_law_from_s0(self, tmp_path):
+        # at K=1 the implied law is the one euler update out of s0
+        out = tmp_path / "de.csv"
+        assert main(["dist-error", "--model", "gbm", "--K", "1", "--schemes",
+                     "euler", "--N", "30", "--grid-points", "50",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        points = [r for r in rows if r["kind"] == "point"]
+        assert len(points) == 50
+        x = np.array([float(r["x"]) for r in points])
+        err = np.array([float(r["error"]) for r in points])
+        ref = gbm_exact_marginal(GbmParams(s0=100.0, r=0.05, sigma=0.3), 1.0)
+        implied = ndtr((x - 105.0) / 30.0)
+        assert np.max(np.abs(err - (implied - ref.cdf(x)))) < 1e-12
+
     @pytest.mark.parametrize("flag", ["--seed", "--mc-paths", "--mc-steps"])
     def test_gbm_refuses_monte_carlo_flags(self, tmp_path, capsys, flag):
         out = tmp_path / "de.csv"
@@ -282,6 +300,18 @@ class TestConfigFile:
         assert rc == 0
         _, rows = read_csv(out)
         assert len(rows) == 3 * 21
+
+    def test_line_without_equals_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nN 200\n")
+        assert main(["rmq", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config line without '='" in err
+
+    def test_missing_file_is_refused(self, tmp_path, capsys):
+        assert main(["rmq", "--config", str(tmp_path / "absent.cfg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config error" in err and "absent.cfg" in err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -377,9 +407,15 @@ def test_seed_only_where_monte_carlo_runs(command):
     (["vq", "--dist", "ncx2", "--lambda", "inf"],
      "noncentrality must be finite"),
     (["price", "bermudan", "--fd-smax-mult", "inf"], "s_max_mult"),
+    (["price", "barrier", "--seed", "1", "--mc-paths", "0"], "paths must be >= 1"),
+    (["price", "barrier", "--seed", "1", "--mc-steps", "0"], "steps must be >= 1"),
+    (["price", "european", "--model", "cev", "--seed", "1", "--mc-steps", "0"],
+     "steps must be >= 1"),
+    (["price", "barrier", "--seed", "1", "--mc-steps", "1201"], "divisible by K"),
 ], ids=["strike-nan", "strike-inf", "r-nan", "r-inf", "sigma-inf",
         "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
-        "fd-smax-mult-inf"])
+        "fd-smax-mult-inf", "barrier-mc-paths-0", "barrier-mc-steps-0",
+        "cev-european-mc-steps-0", "barrier-mc-steps-indivisible"])
 def test_invalid_numbers_are_usage_errors(capsys, monkeypatch, argv, named):
     def quantize(*args, **kwargs):
         pytest.fail("the input should be refused before quantization runs")
@@ -400,6 +436,39 @@ def test_non_finite_range_is_refused(capsys, instrument, flag, value):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("text, schemes", [
+    ("all", list(cli.ALL_SCHEMES)), ("weak2, euler", ["weak2", "euler"])])
+def test_scheme_lists(text, schemes):
+    ns = cli.build_parser().parse_args(["convergence", "--schemes", text])
+    assert ns.schemes == schemes
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["convergence", "--schemes", "euler,rk4"], "unknown scheme 'rk4'"),
+    (["dist-error", "--schemes", ""], "unknown scheme ''"),
+    (["price", "european", "--strikes", "0.9:1.1"], "expected start:stop:count"),
+    (["price", "european", "--strikes", "0.9:x:3"], "could not convert"),
+    (["price", "barrier", "--levels", "1.1:1.3:2.5"], "invalid literal"),
+    (["price", "barrier", "--levels", "1.1:1.3:0"], "count must be >= 1"),
+    (["convergence", "--K-list", "2,4.5,8"], "invalid literal"),
+], ids=["unknown-scheme", "empty-schemes", "range-two-parts",
+        "range-not-a-number", "range-fractional-count", "range-count-0",
+        "k-list-not-integer"])
+def test_malformed_lists_are_usage_errors(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err
+
+
+def test_output_goes_to_stdout_without_out(capsys):
+    assert main(["rmq", "--N", "5", "--K", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# schema: rmquant.grid.v1"
+    assert len(lines) == 2 + 2 * 5
 
 
 def readme_commands():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -11,7 +12,7 @@ from rmquant import (CodewordDomainError, Ncx2Params, RmqError, Schedule,
                      std_normal_funcs)
 from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
-from rmquant.rmq_engine import _mixture_evaluator, _z_matrices
+from rmquant.rmq_engine import _mixture_evaluator, _step1_guess, _z_matrices
 from rmquant.vq1d import (Quantizer, checked_grid, distortion,
                           distortion_gradient, distortion_hessian,
                           newton_quantize)
@@ -310,6 +311,21 @@ class TestBoundaryModes:
             assert np.all(seq.codewords[k] > 0.0)
             assert abs(seq.probabilities[k].sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+    @pytest.mark.parametrize("scheme", ["euler", "weak2"])
+    def test_single_step(self, cev_low_alpha, scheme, boundary):
+        # the euler step-1 guess reaches below zero and is shifted up
+        seq = rmq_run(cev_low_alpha, scheme, CEV_LOW_ALPHA.s0,
+                      Schedule(T=1.0, K=1, n_per_step=50), boundary)
+        live, zero_mass = seq.live_quantizer(1)
+        assert live.codewords[0] > 0.0
+        assert abs(seq.probabilities[0].sum() - 1.0) < 1e-14
+        assert (zero_mass > 0.0) == (boundary == "absorbing")
+
+    def test_step1_guess_entirely_below_zero(self):
+        with pytest.raises(RmqError, match="entirely below zero"):
+            _step1_guess(batch((1.0, -10.0)), 5, "absorbing")
+
     def test_gbm_absorbing_mass_is_negligible(self, gbm):
         seq = rmq_run(gbm, "euler", 100.0, self.SCHED, "absorbing")
         assert seq.zero_state_mass[-1] < 1e-8
@@ -378,26 +394,8 @@ def _scale_mass_and_swap_codewords(doc):
     _swap_codewords(doc)
 
 
-def _truncate_transitions(doc):
-    doc["transitions"] = doc["transitions"][:-1]
-
-
-def _negative_entry(doc):
-    doc["transitions"][1][5][7] = -1e-3
-
-
-def _break_markov(doc):
-    row = doc["transitions"][3][20]
-    row[:] = [0.5 * v for v in row]
-
-
-def _drop_column(doc):
-    doc["transitions"][0] = [row[:-1] for row in doc["transitions"][0]]
-
-
 def _bogus_boundary(doc):
     doc["boundary"] = "bogus"
-    doc["zero_state_mass"] = [0.9] * 4
 
 
 def _move_zero_state(doc):
@@ -405,19 +403,33 @@ def _move_zero_state(doc):
     cw[0] = 0.5 * cw[1]
 
 
-def _leak_zero_state(doc):
-    # row 0 of the last transition leaks half the trap mass; the last
-    # probabilities and zero mass are recomputed so the chain stays Markov
-    P = np.array(doc["transitions"][-1])
-    P[0, :2] = 0.5
-    doc["transitions"][-1] = P.tolist()
-    p = np.array(doc["steps"][-2]["probabilities"]) @ P
-    doc["steps"][-1]["probabilities"] = p.tolist()
-    doc["zero_state_mass"][-1] = p[0]
+def _move_codeword(doc):
+    # still strictly increasing, so only the replayed chain can tell
+    cw = doc["steps"][2]["codewords"]
+    cw[10] = 0.5 * (cw[9] + cw[10])
 
 
-def _shift_zero_state_mass(doc):
-    doc["zero_state_mass"][2] += 1e-9
+def _raise_s0(doc):
+    # above a barrier at 120: unchecked, the up-and-out put would price at 0
+    doc["s0"] = 130.0
+
+
+def _change_sigma(doc):
+    doc["params"]["sigma"] = 0.31
+
+
+def _drop_params_field(doc):
+    del doc["params"]["sigma"]
+
+
+def _unknown_model(doc):
+    doc["model"] = "heston"
+
+
+def _v1_document(doc):
+    doc["schema"] = "rmquant.sequence.v1"
+    del doc["params"]
+    doc["transitions"] = []
 
 
 def _keep_only_schema(doc):
@@ -459,41 +471,68 @@ def _stretch_horizon(doc):
     doc["horizon"] = 2.0 * doc["horizon"]
 
 
-def _drop_step_time(doc):
-    del doc["steps"][1]["time"]
-
-
-ABSORBING_EDITS = (_bogus_boundary, _move_zero_state, _leak_zero_state,
-                   _shift_zero_state_mass)
+ABSORBING_EDITS = (_bogus_boundary, _move_zero_state)
 
 
 class TestLoadedSequenceChecks:
     @pytest.fixture(scope="class")
-    def dump(self, gbm, cev_low_alpha):
+    def runs(self, gbm, cev_low_alpha):
         free = rmq_run(gbm, "weak2", 100.0, Schedule(T=1.0, K=6, n_per_step=60))
         absorbing = rmq_run(cev_low_alpha, "euler", CEV_LOW_ALPHA.s0,
                             Schedule(T=1.0, K=4, n_per_step=40), "absorbing")
-        return {"free": json.dumps(free.to_json_dict()),
-                "absorbing": json.dumps(absorbing.to_json_dict())}
+        return {"free": free, "absorbing": absorbing}
 
-    def test_unedited_dumps_load(self, dump):
+    @pytest.fixture(scope="class")
+    def dump(self, runs):
+        return {b: json.dumps(seq.to_json_dict()) for b, seq in runs.items()}
+
+    def test_unedited_dumps_load(self, runs, dump):
         for boundary, text in dump.items():
             seq = load_sequence_json(io.StringIO(text))
-            zs = json.loads(text).get("zero_state_mass")
             assert seq.boundary == boundary
+            assert "transitions" not in json.loads(text)
+            zs = runs[boundary].zero_state_mass
             assert (seq.zero_state_mass is None) == (zs is None)
             if zs is not None:
                 assert np.array_equal(seq.zero_state_mass, zs)
 
     @pytest.mark.parametrize("edit", [
-        _scale_mass_and_swap_codewords, _truncate_transitions, _scale_mass,
-        _swap_codewords, _negative_entry, _break_markov, _drop_column,
+        _scale_mass_and_swap_codewords, _scale_mass, _swap_codewords,
         _keep_only_schema, _drop_step_probabilities, _drop_model,
         _negative_horizon, _infinite_horizon, _nan_s0, _non_positive_s0,
-        _unknown_scheme,
-        _stretch_horizon, _drop_step_time, *ABSORBING_EDITS])
+        _unknown_scheme, _stretch_horizon, _raise_s0, _change_sigma,
+        _v1_document, _unknown_model, _drop_params_field, _move_codeword,
+        *ABSORBING_EDITS])
     def test_edited_dump_is_rejected(self, dump, edit):
         doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
         edit(doc)
         with pytest.raises(ValueError, match="inconsistent sequence"):
             load_sequence_json(io.StringIO(json.dumps(doc)))
+
+    def test_custom_model_is_not_written(self, gbm):
+        custom = dataclasses.replace(gbm, kind="custom", params=None)
+        seq = rmq_run(custom, "euler", 100.0, Schedule(T=1.0, K=2, n_per_step=10))
+        with pytest.raises(ValueError, match="custom"):
+            seq.to_json_dict()
+
+
+@pytest.mark.parametrize("model, scheme, boundary", [
+    ("gbm", "weak2", "free"), ("cev", "weak2", "absorbing"),
+    ("cev", "weak2", "reflecting"), ("cev", "euler", "absorbing")])
+def test_reload_recomputes_the_paper_chain(gbm, cev_low_alpha, model, scheme,
+                                           boundary):
+    s0 = 100.0 if model == "gbm" else CEV_LOW_ALPHA.s0
+    seq = rmq_run(gbm if model == "gbm" else cev_low_alpha, scheme, s0,
+                  PAPER_SCHEDULE, boundary)
+    buf = io.StringIO()
+    seq.dump_json(buf)
+    buf.seek(0)
+    loaded = load_sequence_json(buf)
+    assert len(loaded.transitions) == len(seq.transitions) == 11
+    for a, b in zip(loaded.transitions, seq.transitions):
+        assert np.array_equal(a, b)
+    for a, b in zip(loaded.probabilities, seq.probabilities):
+        assert np.array_equal(a, b)
+    if boundary == "absorbing":
+        assert np.array_equal(loaded.zero_state_mass, seq.zero_state_mass)
+    assert loaded.params == seq.params

@@ -12,6 +12,7 @@ from rmquant import (GbmParams, Ncx2Params, ScalarDistribution, distortion,
                      newton_quantize, reflect_funcs, region_boundaries,
                      std_normal_funcs)
 from rmquant import vq1d
+from rmquant._newton import _admissible
 from rmquant.vq1d import Quantizer
 
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -225,6 +226,35 @@ class TestNewtonQuantize:
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             newton_quantize(std_normal_funcs(), [0.0], 0)
+
+    def test_uniform_on_unit_interval(self):
+        # the optimal N-point grid of U(0, 1) is (2i - 1) / 2N, mass 1/N each
+        def fFM(x):
+            u = np.clip(x, 0.0, 1.0)
+            return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0), u, 0.5 * u * u
+
+        uniform = ScalarDistribution(fFM=fFM, second_moment=1.0 / 3.0,
+                                     support=(0.0, 1.0))
+        n = 8
+        q = newton_quantize(uniform, np.linspace(0.01, 0.6, n) ** 2, 50)
+        assert q.codewords == pytest.approx((2 * np.arange(1, n + 1) - 1) / (2 * n),
+                                            abs=1e-12)
+        assert q.probabilities == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
+
+
+class TestAdmissible:
+    @pytest.mark.parametrize("trial, lo, hi", [
+        ([0.1, np.nan, 0.3], None, None), ([0.1, np.inf], None, None),
+        ([0.1, 0.2], 0.1, None), ([0.05, 0.2], 0.1, None),
+        ([0.1, 0.2], None, 0.2), ([0.1, 0.3], None, 0.2),
+        ([0.2, 0.2], None, None)],
+        ids=["nan", "inf", "at-lo", "below-lo", "at-hi", "above-hi", "tied"])
+    def test_refused(self, trial, lo, hi):
+        assert not _admissible(np.array(trial), lo, hi)
+
+    def test_accepted_inside_open_bounds(self):
+        assert _admissible(np.array([0.1, 0.2]), 0.0, 0.3)
+        assert _admissible(np.array([-1e9, 1e9]), None, None)
 
 
 class TestInitialGuess:
