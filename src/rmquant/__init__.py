@@ -11,7 +11,8 @@ from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
                       bermudan_price, european_price)
 from .rmq_engine import (ABSORBING, FREE, REFLECTING, CodewordDomainError,
                          QuantizationSequence, RmqError, Schedule,
-                         implied_marginal_cdf, load_sequence_json, rmq_run)
+                         implied_marginal_cdf, load_sequence_json, rmq_run,
+                         rmq_steps)
 from .sde_models import (CevParams, GbmParams, SdeModel, cev_model,
                          gbm_exact_marginal, gbm_model)
 from .vq1d import (Quantizer, RegionBounds, distortion, distortion_gradient,

@@ -78,15 +78,9 @@ def solve_tridiag(diag, off, rhs):
 
 
 def _admissible(gam, lo, hi):
-    if not np.all(np.isfinite(gam)):
-        return False
-    if np.any(np.diff(gam) <= 0.0):
-        return False
-    if lo is not None and gam[0] <= lo:
-        return False
-    if hi is not None and gam[-1] >= hi:
-        return False
-    return True
+    """A finite, strictly increasing grid inside the open (lo, hi)."""
+    return bool(np.all(np.isfinite(gam)) and np.all(np.diff(gam) > 0.0)
+                and (lo is None or gam[0] > lo) and (hi is None or gam[-1] < hi))
 
 
 def damped_newton(gamma0: np.ndarray,

@@ -148,11 +148,6 @@ def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
     return P, M, f[:, 1:-1]
 
 
-def _joined(blocks: List[np.ndarray]) -> np.ndarray:
-    """The transition matrix of an evaluation from its P row blocks."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     """Closure computing gradient/Hessian/centroids of the mixture distortion.
 
@@ -163,7 +158,7 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     its four partial sums, which are added in block order; M and f never
     exist whole.  The split depends on the grid size alone, so results are
     the same at any thread count.  The evaluation's ``aux`` starts with
-    the list of its P row blocks (``_joined`` makes the matrix).
+    the list of its P row blocks.
     """
     absm = np.abs(batch.m)
     pw = np.where(prev_p < PROB_FLOOR, 0.0, prev_p)
@@ -219,6 +214,7 @@ def implied_marginal_cdf(x, prev: Quantizer, batch: UpdateBatch,
     return out if np.ndim(x) else float(out[0])
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class QuantizationSequence:
     """Per-step quantizers, probabilities and transition matrices.
 
@@ -230,19 +226,18 @@ class QuantizationSequence:
     across threads.
     """
 
-    def __init__(self, *, scheme: str, boundary: str, model_kind: str,
-                 s0: float, horizon: float, codewords: List[np.ndarray],
-                 probabilities: List[np.ndarray],
-                 transitions: List[np.ndarray], params=None):
-        self.scheme = scheme
-        self.boundary = boundary
-        self.model_kind = model_kind
-        self.s0 = float(s0)
-        self.horizon = float(horizon)
-        self.codewords = codewords
-        self.probabilities = probabilities
-        self.transitions = transitions
-        self.params = params
+    scheme: str
+    boundary: str
+    model_kind: str
+    s0: float
+    horizon: float
+    codewords: List[np.ndarray]
+    probabilities: List[np.ndarray]
+    transitions: List[np.ndarray]
+    params: object = None
+
+    def __post_init__(self):
+        self.s0, self.horizon = float(self.s0), float(self.horizon)
 
     @property
     def zero_state_mass(self) -> Optional[np.ndarray]:
@@ -265,6 +260,8 @@ class QuantizationSequence:
 
     def live_quantizer(self, k: int):
         """(Quantizer, zero mass) of step k (1-based), augmentation stripped."""
+        if not 1 <= k <= self.n_steps:
+            raise ValueError(f"step must be in 1..{self.n_steps}, got {k}")
         cw = self.codewords[k - 1]
         p = self.probabilities[k - 1]
         if self.boundary == ABSORBING:
@@ -300,22 +297,22 @@ class QuantizationSequence:
         """Grid dump: one row per codeword, 17 significant digits."""
         fh.write(f"# schema: {GRID_SCHEMA}\n")
         fh.write("step,time,index,codeword,probability\n")
-        for k in range(self.n_steps):
-            t = (k + 1) * self.dt
-            cw = self.codewords[k]
-            pr = self.probabilities[k]
+        for k, (cw, pr) in enumerate(zip(self.codewords, self.probabilities),
+                                     start=1):
+            t = k * self.dt
             for j in range(cw.size):
-                fh.write(f"{k + 1},{t:.17g},{j},{cw[j]:.17g},{pr[j]:.17g}\n")
+                fh.write(f"{k},{t:.17g},{j},{cw[j]:.17g},{pr[j]:.17g}\n")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuantizationSequence":
         """Rebuild the run that ``doc`` describes and replay its recursion
         on the stored grids, which recomputes every transition matrix.
 
-        The stored codewords must equal the replayed ones and the stored
-        probabilities match the replayed chain within ``MARKOV_TOL``; any
-        failure raises ValueError.  Returns the replayed sequence, which
-        is bit-identical to the run on the build that wrote ``doc``.
+        Each step's codewords must equal the replayed ones and its
+        probabilities match the replayed chain within ``MARKOV_TOL``; the
+        first step that fails stops the replay.  Any failure raises a
+        ValueError that names the step or field.  Returns the replayed
+        sequence, bit-identical to the run on the build that wrote ``doc``.
         """
         try:
             return _replay(doc)
@@ -343,34 +340,46 @@ def _replay(doc: dict) -> QuantizationSequence:
     model = build_model(params_type(**doc["params"]))
     boundary = doc["boundary"]
     _validate_boundary(boundary)
-    for s in doc["steps"]:
-        _require_fields(s, "codewords", "probabilities")
-    codewords = [np.asarray(s["codewords"], dtype=float) for s in doc["steps"]]
-    probabilities = [np.asarray(s["probabilities"], dtype=float)
-                     for s in doc["steps"]]
+    if not isinstance(doc["steps"], list) or not doc["steps"]:
+        raise ValueError("steps must be a non-empty list")
+    try:
+        # the stored grids stand in for Newton, so the budgets go unused
+        sched = Schedule(T=doc["horizon"], K=len(doc["steps"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"horizon: {exc}") from None
     live = slice(1 if boundary == ABSORBING else 0, None)
     support = (-np.inf if boundary == FREE else 0.0, np.inf)
+    stored = []   # each step's codewords, probabilities and live grid
+    for k, s in enumerate(doc["steps"], start=1):
+        try:
+            _require_fields(s, "codewords", "probabilities")
+            cw = np.asarray(s["codewords"], dtype=float)
+            stored.append((cw, np.asarray(s["probabilities"], dtype=float),
+                           checked_grid(cw[live], support)))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"step {k}: {exc}") from None
+    chain = _chain(model, doc["scheme"], doc["s0"], sched, boundary,
+                   lambda k, batch, prev_cw, evaluate:
+                   (stored[k - 1][2], evaluate(stored[k - 1][2])))
 
-    def stored(k, batch, prev_cw, evaluate):
-        gam = checked_grid(codewords[k - 1][live], support)
-        return gam, evaluate(gam)
+    def checked():
+        # each step is compared as it is replayed, so a bad one stops the
+        # replay before any later step is computed
+        for k, ((cw, p, _), step) in enumerate(zip(stored, chain), start=1):
+            if not np.array_equal(cw, step[0]):
+                raise ValueError(f"step {k}: codewords differ from the "
+                                 f"replayed grid")
+            if p.shape != step[1].shape:
+                raise ValueError(f"step {k}: {p.size} probabilities for "
+                                 f"{step[1].size} codewords")
+            drift = np.max(np.abs(p - step[1]))
+            if not drift <= MARKOV_TOL:
+                raise ValueError(f"step {k}: probabilities differ from the "
+                                 f"replayed chain by {drift:.3g}")
+            yield step
 
-    # the stored grids stand in for Newton, so the budgets go unused
-    seq = _recursion(model, doc["scheme"], doc["s0"],
-                     Schedule(T=doc["horizon"], K=len(codewords)), boundary,
-                     stored)
-    for k, (cw, p, p_run) in enumerate(
-            zip(codewords, probabilities, seq.probabilities), start=1):
-        if not np.array_equal(cw, seq.codewords[k - 1]):
-            raise ValueError(f"step {k} codewords differ from the replayed grid")
-        if p.shape != p_run.shape:
-            raise ValueError(f"step {k} has {p.size} probabilities for "
-                             f"{p_run.size} codewords")
-        drift = np.max(np.abs(p - p_run))
-        if not drift <= MARKOV_TOL:
-            raise ValueError(f"step {k} probabilities differ from the "
-                             f"replayed chain by {drift:.3g}")
-    return seq
+    return _sequence(model, doc["scheme"], doc["s0"], sched, boundary,
+                     checked())
 
 
 def load_sequence_json(fh: IO[str]) -> QuantizationSequence:
@@ -379,10 +388,8 @@ def load_sequence_json(fh: IO[str]) -> QuantizationSequence:
 
 def _step1_guess(batch: UpdateBatch, n: int, boundary: str) -> np.ndarray:
     """Map the single-law starting grid through the first affine update."""
-    if batch.is_ncx2[0]:
-        z0 = initial_guess("ncx2", n, float(batch.lam[0]))
-    else:
-        z0 = initial_guess("normal", n)
+    z0 = (initial_guess("ncx2", n, float(batch.lam[0])) if batch.is_ncx2[0]
+          else initial_guess("normal", n))
     g = np.sort(batch.m[0] * z0 + batch.c[0])
     if boundary != FREE and g[0] <= 0.0:
         if g[-1] <= 0.0:
@@ -407,15 +414,16 @@ def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
     )
 
 
-def _recursion(model: SdeModel, scheme: str, s0: float, sched: Schedule,
-               boundary: str, step) -> QuantizationSequence:
-    """The chain of grids, probabilities and transition matrices.
+def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+           boundary: str, pick):
+    """The steps of a run, as :func:`rmq_steps` yields them; the arguments
+    are checked at once, each step computed as it is drawn.
 
-    ``step(k, batch, prev_cw, evaluate)`` picks step k's grid and returns
+    ``pick(k, batch, prev_cw, evaluate)`` chooses step k's grid and returns
     it with ``evaluate`` at that grid, where ``batch`` holds the affine
     updates out of ``prev_cw`` and ``evaluate`` is the mixture evaluator of
-    :func:`_mixture_evaluator`.  Probabilities are propagated through the
-    transition matrices of the returned evaluations.
+    :func:`_mixture_evaluator`.  The transition matrix is that of the
+    returned evaluation.
     """
     _validate_boundary(boundary)
     if scheme not in SCHEME_BUILDERS:
@@ -425,64 +433,58 @@ def _recursion(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     if not (lo_dom < s0 < hi_dom):
         raise ValueError("s0 must lie inside the model's state domain")
     build = SCHEME_BUILDERS[scheme]
-    dt = sched.dt
 
-    prev_cw = np.array([float(s0)])
-    prev_p = np.array([1.0])
+    def steps():
+        # Only the last grid and probabilities carry over, so a consumer
+        # that drops each step holds no earlier matrix.  Absorbing mode
+        # keeps the live chain (prev_p), which feeds the next mixture, apart
+        # from the stored one (last_p, zero state in front): products of
+        # the stored augmented transitions, so the Markov identity holds
+        # exactly as stored.
+        prev_cw, prev_p = np.array([float(s0)]), np.array([1.0])
+        last_p = np.array([0.0, 1.0])   # absorbing: all mass on s0
+        for k in range(1, sched.K + 1):
+            batch = build(model, prev_cw, sched.dt)
+            _require_positive_scale(batch, boundary)
+            gam, ev = pick(k, batch, prev_cw,
+                           _mixture_evaluator(prev_p, batch, boundary))
+            _check_domain(gam, model, k)
+            blocks = ev.aux[0]
+            P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            del ev, blocks   # else held while the next step runs
+            prev_cw, prev_p = gam, prev_p @ P
+            cw, p = gam, prev_p
+            if boundary == ABSORBING:
+                aug = np.pad(P, ((1, 0), (1, 0)))
+                aug[0, 0] = 1.0
+                aug[1:, 0] = np.maximum(1.0 - P.sum(axis=1), 0.0)
+                cw, p, P = np.concatenate([[0.0], gam]), last_p @ aug, aug
+                last_p = p
+            yield cw, p, P if k > 1 else None
 
-    codewords: List[np.ndarray] = []
-    probabilities: List[np.ndarray] = []
-    transitions: List[np.ndarray] = []
+    return steps()
 
-    for k in range(1, sched.K + 1):
-        batch = build(model, prev_cw, dt)
-        _require_positive_scale(batch, boundary)
-        evaluate = _mixture_evaluator(prev_p, batch, boundary)
-        gam, ev = step(k, batch, prev_cw, evaluate)
-        _check_domain(gam, model, k)
-        P = _joined(ev.aux[0])
-        p_next = prev_p @ P
-        if boundary == ABSORBING:
-            aug = np.zeros((P.shape[0] + 1, P.shape[1] + 1))
-            aug[0, 0] = 1.0
-            aug[1:, 0] = np.maximum(1.0 - P.sum(axis=1), 0.0)
-            aug[1:, 1:] = P
-            # Store the augmented probabilities as products of the stored
-            # augmented transitions so the Markov identity holds exactly
-            # as stored; step 1 starts from all mass on s0.
-            last_p = probabilities[-1] if k > 1 else np.array([0.0, 1.0])
-            codewords.append(np.concatenate([[0.0], gam]))
-            probabilities.append(last_p @ aug)
-            P = aug
-        else:
-            codewords.append(gam)
-            probabilities.append(p_next)
-        if k > 1:
-            transitions.append(P)
-        prev_cw, prev_p = gam, p_next
 
+def _sequence(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+              boundary: str, steps) -> QuantizationSequence:
+    """The sequence of a run from the whole stream of its steps."""
+    codewords, probabilities, transitions = map(list, zip(*steps))
     return QuantizationSequence(
-        scheme=scheme,
-        boundary=boundary,
-        model_kind=model.kind,
-        s0=s0,
-        horizon=sched.T,
-        codewords=codewords,
-        probabilities=probabilities,
-        transitions=transitions,
-        params=model.params,
-    )
+        scheme=scheme, boundary=boundary, model_kind=model.kind, s0=s0,
+        horizon=sched.T, codewords=codewords, probabilities=probabilities,
+        transitions=transitions[1:], params=model.params)
 
 
-def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
-            boundary: str = FREE) -> QuantizationSequence:
-    """Quantize the discretized diffusion over the whole schedule.
+def rmq_steps(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+              boundary: str = FREE):
+    """Quantize the discretized diffusion one step at a time.
 
-    Step one quantizes the exact one-step conditional law from ``s0``
-    (a single-component mixture) with the schedule's VQ iteration budget;
-    every later step starts from the previous grid and spends the smaller
-    recursive budget.  Probabilities are propagated through the transition
-    matrices recomputed at each accepted grid.
+    Yields each step's (codewords, probabilities, incoming transition
+    matrix, None at step 1), as :func:`rmq_run` stores them, so a consumer
+    that keeps only the last step holds one matrix.  Step one quantizes the
+    exact one-step conditional law from ``s0`` (a single-component mixture)
+    with the schedule's VQ iteration budget; every later step starts from
+    the previous grid and spends the smaller recursive budget.
     """
     newton_lo = 0.0 if boundary != FREE else None
 
@@ -492,4 +494,11 @@ def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
             return damped_newton(guess, evaluate, sched.n_max_vq, lo=newton_lo)
         return damped_newton(prev_cw, evaluate, sched.n_max_rmq, lo=newton_lo)
 
-    return _recursion(model, scheme, s0, sched, boundary, newton)
+    return _chain(model, scheme, s0, sched, boundary, newton)
+
+
+def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,
+            boundary: str = FREE) -> QuantizationSequence:
+    """Every step of :func:`rmq_steps`, collected into a sequence."""
+    return _sequence(model, scheme, s0, sched, boundary,
+                     rmq_steps(model, scheme, s0, sched, boundary))

@@ -66,8 +66,8 @@ class RegionBounds:
 def region_boundaries(codewords, support=(-np.inf, np.inf)) -> RegionBounds:
     """Voronoi region bounds: midpoints inside, support ends outside."""
     gam = np.asarray(codewords, dtype=float)
-    if gam.ndim != 1 or gam.size == 0:
-        raise ValueError("codewords must be a nonempty 1-d vector")
+    if gam.ndim != 1 or gam.size == 0 or not np.all(np.isfinite(gam)):
+        raise ValueError("codewords must be a finite, nonempty 1-d vector")
     if np.any(np.diff(gam) <= 0.0):
         raise ValueError("codewords must be strictly increasing")
     lo, hi = support

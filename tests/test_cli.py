@@ -207,6 +207,16 @@ class TestConvergence:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_bad_k_is_refused_before_quantizing(self, capsys, monkeypatch):
+        def quantize(*args, **kwargs):
+            pytest.fail("the K list should be refused before quantization runs")
+
+        monkeypatch.setattr(cli, "rmq_steps", quantize)
+        assert main(["convergence", "--schemes", "weak2", "--K-list", "8,16,0",
+                     "--N", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "K must be >= 1, got 0" in err
+
     def test_step_count_flag_is_refused(self, tmp_path):
         # The step counts come from --K-list alone.
         with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,7 @@ def evaluation(batch, gam, boundary):
     """One mixture evaluation at ``gam``, with its joined P."""
     ev = rmq_engine._mixture_evaluator(prev_probabilities(batch.size), batch,
                                        boundary)(gam)
-    return ev, rmq_engine._joined(ev.aux[0])
+    return ev, np.concatenate(ev.aux[0])
 
 
 EVAL_FIELDS = ("grad", "hess_diag", "hess_off", "centroids")

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import ndtr
 
 from rmquant import (CodewordDomainError, Ncx2Params, RmqError, Schedule,
                      UpdateBatch, european_price, implied_marginal_cdf,
-                     load_sequence_json, ncx2_1_funcs, rmq_run,
+                     load_sequence_json, ncx2_1_funcs, rmq_run, rmq_steps,
                      std_normal_funcs)
 from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
@@ -16,9 +17,10 @@ from rmquant.rmq_engine import _mixture_evaluator, _step1_guess, _z_matrices
 from rmquant.vq1d import (Quantizer, checked_grid, distortion,
                           distortion_gradient, distortion_hessian,
                           newton_quantize)
+from rmquant.cli import main
 from rmquant.distributions import ScalarDistribution
 
-from conftest import CEV_LOW_ALPHA
+from conftest import CEV_LOW_ALPHA, GBM
 
 GBM_MEAN_1Y = 105.12710963760241
 PAPER_SCHEDULE = Schedule(T=1.0, K=12, n_per_step=200, n_max_vq=50, n_max_rmq=5)
@@ -471,6 +473,22 @@ def _stretch_horizon(doc):
     doc["horizon"] = 2.0 * doc["horizon"]
 
 
+def _nan_codeword(doc):
+    doc["steps"][1]["codewords"][5] = float("nan")
+
+
+def _drop_last_probability(doc):
+    doc["steps"][5]["probabilities"].pop()
+
+
+def _string_horizon(doc):
+    doc["horizon"] = "1.0"
+
+
+def _empty_steps(doc):
+    doc["steps"] = []
+
+
 ABSORBING_EDITS = (_bogus_boundary, _move_zero_state)
 
 
@@ -509,6 +527,42 @@ class TestLoadedSequenceChecks:
         with pytest.raises(ValueError, match="inconsistent sequence"):
             load_sequence_json(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("edit, named", [
+        (_swap_codewords, "step 3: codewords must be strictly increasing"),
+        (_nan_codeword, "step 2: codewords must be a finite, nonempty"),
+        (_drop_step_probabilities, "step 3: missing field 'probabilities'"),
+        (_move_codeword, "step 3: probabilities differ from the replayed chain"),
+        (_move_zero_state, "step 2: codewords differ from the replayed grid"),
+        (_scale_mass, "step 1: probabilities differ from the replayed chain"),
+        (_drop_last_probability, "step 6: 59 probabilities for 60 codewords"),
+        (_negative_horizon, "horizon: T must be positive and finite"),
+        (_string_horizon, "horizon: "),
+        (_empty_steps, "steps must be a non-empty list"),
+    ])
+    def test_refusal_names_its_step_or_field(self, dump, edit, named):
+        doc = json.loads(dump["absorbing" if edit in ABSORBING_EDITS else "free"])
+        edit(doc)
+        with pytest.raises(ValueError) as exc:
+            load_sequence_json(io.StringIO(json.dumps(doc)))
+        assert str(exc.value).startswith(f"inconsistent sequence: {named}")
+
+    def test_replay_stops_at_the_first_bad_step(self, dump, monkeypatch):
+        # step 2 of 6 is refused as soon as it is replayed
+        from rmquant import rmq_engine
+        doc = json.loads(dump["free"])
+        doc["steps"][1]["probabilities"][0] += 1e-6
+        replayed = []
+        check = rmq_engine._check_domain
+
+        def counting(gam, model, step):
+            replayed.append(step)
+            return check(gam, model, step)
+
+        monkeypatch.setattr(rmq_engine, "_check_domain", counting)
+        with pytest.raises(ValueError, match="step 2: probabilities differ"):
+            load_sequence_json(io.StringIO(json.dumps(doc)))
+        assert replayed == [1, 2]
+
     def test_custom_model_is_not_written(self, gbm):
         custom = dataclasses.replace(gbm, kind="custom", params=None)
         seq = rmq_run(custom, "euler", 100.0, Schedule(T=1.0, K=2, n_per_step=10))
@@ -536,3 +590,73 @@ def test_reload_recomputes_the_paper_chain(gbm, cev_low_alpha, model, scheme,
     if boundary == "absorbing":
         assert np.array_equal(loaded.zero_state_mass, seq.zero_state_mass)
     assert loaded.params == seq.params
+
+
+STREAM_RUNS = {   # (model, scheme, schedule, boundary); N=300 is two row blocks
+    "free": ("gbm", "weak2", Schedule(T=1.0, K=4, n_per_step=300), "free"),
+    "absorbing": ("cev", "euler", Schedule(T=1.0, K=4, n_per_step=40),
+                  "absorbing"),
+    "reflecting": ("cev", "weak2", Schedule(T=1.0, K=4, n_per_step=40),
+                   "reflecting"),
+}
+
+
+def _stream_args(gbm, cev_low_alpha, boundary):
+    model, scheme, sched, boundary = STREAM_RUNS[boundary]
+    if model == "gbm":
+        return gbm, scheme, 100.0, sched, boundary
+    return cev_low_alpha, scheme, CEV_LOW_ALPHA.s0, sched, boundary
+
+
+class TestStream:
+    @pytest.mark.parametrize("boundary", sorted(STREAM_RUNS))
+    def test_steps_equal_the_run(self, gbm, cev_low_alpha, boundary):
+        args = _stream_args(gbm, cev_low_alpha, boundary)
+        seq = rmq_run(*args)
+        steps = list(rmq_steps(*args))
+        assert len(steps) == seq.n_steps == 4
+        assert steps[0][2] is None
+        for k, (cw, p, P) in enumerate(steps):
+            assert np.array_equal(cw, seq.codewords[k])
+            assert np.array_equal(p, seq.probabilities[k])
+            if k:
+                assert np.array_equal(P, seq.transitions[k - 1])
+
+    @pytest.mark.parametrize("boundary", ["free", "absorbing"])
+    def test_dropped_steps_are_freed(self, gbm, cev_low_alpha, boundary):
+        # a consumer that drops each step holds no earlier transition
+        refs = []
+        for cw, p, P in rmq_steps(*_stream_args(gbm, cev_low_alpha, boundary)):
+            if P is not None:
+                refs.append(weakref.ref(P))
+            del cw, p, P
+            assert [r() is None for r in refs[:-1]] == [True] * (len(refs) - 1)
+        assert len(refs) == 3
+
+    def test_arguments_are_checked_before_the_first_step(self, gbm):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            rmq_steps(gbm, "rk4", 100.0, PAPER_SCHEDULE)
+        with pytest.raises(ValueError, match="boundary"):
+            rmq_steps(gbm, "euler", 100.0, PAPER_SCHEDULE, "sticky")
+
+    def test_convergence_reads_the_terminal_mean(self, gbm, tmp_path):
+        out = tmp_path / "conv.json"
+        assert main(["convergence", "--schemes", "weak2,euler", "--K-list",
+                     "2,3,5", "--N", "40", "--format", "json",
+                     "--out", str(out)]) == 0
+        points = [r for r in json.loads(out.read_text())["rows"]
+                  if r["kind"] == "point"]
+        assert len(points) == 6
+        target = GBM.s0 * np.exp(GBM.r * 1.0)
+        for row in points:
+            seq = rmq_run(gbm, row["scheme"], GBM.s0,
+                          Schedule(T=1.0, K=row["K"], n_per_step=40))
+            assert row["abs_error"] == abs(seq.terminal_mean() - target)
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_live_quantizer_refuses_steps_outside_the_run(gbm, k):
+    seq = rmq_run(gbm, "euler", 100.0, Schedule(T=1.0, K=4, n_per_step=20))
+    assert np.array_equal(seq.live_quantizer(4)[0].codewords, seq.codewords[-1])
+    with pytest.raises(ValueError, match=f"step must be in 1..4, got {k}"):
+        seq.live_quantizer(k)

@@ -52,6 +52,8 @@ class TestRegions:
             region_boundaries([2.0, 1.0])
         with pytest.raises(ValueError):
             region_boundaries([-1.0, 1.0], support=(0.0, np.inf))
+        with pytest.raises(ValueError, match="finite"):
+            region_boundaries([1.0, np.nan, 3.0])   # passed both tests above
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12,
