@@ -55,6 +55,7 @@ MC_PATHS = 1_000_000    # Monte Carlo reference defaults
 MC_STEPS = 1200
 FD_FLAGS = ("--fd-time-steps", "--fd-space-steps", "--fd-smax-mult")
 FD_DEFAULTS = (600, 800, 4.0)   # Crank-Nicolson reference, FdConfig order
+GBM_SIGMA, CEV_ALPHA, CEV_SIGMA_LN = 0.3, 0.7, 0.3   # model parameter defaults
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -95,12 +96,14 @@ def _model_args(sp):
     sp.add_argument("--model", choices=("gbm", "cev"), default="gbm")
     sp.add_argument("--s0", type=float, default=100.0)
     sp.add_argument("--r", type=float, default=0.05)
-    sp.add_argument("--sigma", type=float, default=0.3,
-                    help="GBM volatility")
-    sp.add_argument("--alpha", type=float, default=0.7,
-                    help="CEV elasticity")
-    sp.add_argument("--sigma-ln", type=float, default=0.3, dest="sigma_ln",
-                    help="CEV instantaneous lognormal volatility")
+    # None until _build_model, so that the other model's flags are refused
+    sp.add_argument("--sigma", type=float, default=None,
+                    help=f"GBM volatility (default {GBM_SIGMA})")
+    sp.add_argument("--alpha", type=float, default=None,
+                    help=f"CEV elasticity (default {CEV_ALPHA})")
+    sp.add_argument("--sigma-ln", type=float, default=None, dest="sigma_ln",
+                    help=f"CEV instantaneous lognormal volatility "
+                         f"(default {CEV_SIGMA_LN})")
 
 
 def _run_args(sp, default_n=200, with_k=True):
@@ -127,6 +130,14 @@ def _mc_sizes(ns):
     """(paths, steps) of a Monte Carlo reference, defaults filled in."""
     return (MC_PATHS if ns.mc_paths is None else ns.mc_paths,
             MC_STEPS if ns.mc_steps is None else ns.mc_steps)
+
+
+def _model_rules(ns):
+    """``_refuse_unread`` rules for the parameter flags of the other model."""
+    gbm = ns.model == "gbm"
+    return [(gbm, "a GBM run has no CEV parameters",
+             {"--alpha": ns.alpha, "--sigma-ln": ns.sigma_ln}),
+            (not gbm, "a CEV run has no GBM volatility", {"--sigma": ns.sigma})]
 
 
 def _mc_flags(ns):
@@ -235,9 +246,12 @@ def _read_config(path: str) -> Dict[str, str]:
 
 def _build_model(ns):
     if ns.model == "gbm":
-        params = GbmParams(s0=ns.s0, r=ns.r, sigma=ns.sigma)
+        params = GbmParams(s0=ns.s0, r=ns.r,
+                           sigma=GBM_SIGMA if ns.sigma is None else ns.sigma)
         return gbm_model(params), params
-    params = CevParams(s0=ns.s0, r=ns.r, alpha=ns.alpha, sigma_ln=ns.sigma_ln)
+    params = CevParams(
+        s0=ns.s0, r=ns.r, alpha=CEV_ALPHA if ns.alpha is None else ns.alpha,
+        sigma_ln=CEV_SIGMA_LN if ns.sigma_ln is None else ns.sigma_ln)
     return cev_model(params), params
 
 
@@ -300,6 +314,8 @@ def cmd_vq(ns) -> int:
 
 
 def cmd_rmq(ns) -> int:
+    if _refuse_unread("rmq", _model_rules(ns)):
+        return EXIT_USAGE
     model, params = _build_model(ns)
     seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     with _open_out(ns) as fh:
@@ -327,7 +343,8 @@ def cmd_price(ns) -> int:
             (ns.instrument != "bermudan", "only bermudan has a "
              "finite-difference reference", dict(zip(FD_FLAGS, fd))),
             (not mc_ref, "only barrier and CEV european "
-             "have a Monte Carlo reference", _mc_flags(ns))]):
+             "have a Monte Carlo reference", _mc_flags(ns)),
+            *_model_rules(ns)]):
         return EXIT_USAGE
     if mc_ref and ns.seed is None:
         what = "barrier" if barrier else "CEV european"
@@ -339,9 +356,14 @@ def cmd_price(ns) -> int:
     atm = ns.strike if ns.strike is not None else params.s0
     strikes = (ns.strikes * params.s0 if ns.strikes is not None
                else np.array([atm]))
-    # Built before the run, so that a bad strike, grid or Monte Carlo size
-    # is refused at once.
+    # Built before the run, so that a bad K, strike, barrier level, grid or
+    # Monte Carlo size is refused at once.
+    sched = _schedule(ns, ns.K)
     payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
+    if barrier:
+        levels = (ns.levels if ns.levels is not None
+                  else np.linspace(1.05, 1.5, 10)) * atm
+        barriers = [BarrierSpec(level=float(level)) for level in levels]
     if ns.instrument == "bermudan":
         fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
     if mc_ref:
@@ -349,7 +371,7 @@ def cmd_price(ns) -> int:
         stride = _monitoring_stride(steps, ns.K) if barrier else 1
         mc_cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
                           monitoring_stride=stride)
-    seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
+    seq = rmq_run(model, ns.scheme, params.s0, sched, ns.boundary)
     mc_boundary = ns.boundary if ns.model == "cev" else "free"
     if mc_ref:
         mc = simulate_terminal(model, params.s0, ns.T, mc_cfg, mc_boundary,
@@ -379,15 +401,12 @@ def cmd_price(ns) -> int:
                     cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
                                 fd_cfg))
     else:
-        levels = (ns.levels if ns.levels is not None
-                  else np.linspace(1.05, 1.5, 10)) * atm
         payoff = payoffs[0]
         term, smax = mc
         base = disc * payoff.values(term)
-        for level in levels:
-            price = barrier_up_out_price(seq, payoff,
-                                         BarrierSpec(level=float(level)), r)
-            add_row(level, price, *mc_estimate(base * (smax < level)))
+        for spec in barriers:
+            price = barrier_up_out_price(seq, payoff, spec, r)
+            add_row(spec.level, price, *mc_estimate(base * (smax < spec.level)))
     _write_table(ns, PRICES_SCHEMA,
                  ["scheme", "instrument", "strike_or_level", "price",
                   "reference", "abs_error", "std_error"], rows)
@@ -398,6 +417,8 @@ def cmd_convergence(ns) -> int:
     if len(ns.k_list) < 3:
         print("convergence: need at least 3 K values to regress a slope",
               file=sys.stderr)
+        return EXIT_USAGE
+    if _refuse_unread("convergence", _model_rules(ns)):
         return EXIT_USAGE
     model, params = _build_model(ns)
     # Built before the first run, so that a bad K is refused at once.
@@ -429,9 +450,11 @@ def cmd_dist_error(ns) -> int:
         return EXIT_USAGE
     if _refuse_unread("dist-error", [
             (ns.model == "gbm", "only CEV has a Monte Carlo reference; "
-             "GBM uses the exact marginal", _mc_flags(ns))]):
+             "GBM uses the exact marginal", _mc_flags(ns)),
+            *_model_rules(ns)]):
         return EXIT_USAGE
     model, params = _build_model(ns)
+    sched = _schedule(ns, ns.K)   # a bad K is refused before the reference
     if ns.model == "gbm":
         ref = gbm_exact_marginal(params, ns.T)
         mu = (params.r - 0.5 * params.sigma ** 2) * ns.T
@@ -452,7 +475,7 @@ def cmd_dist_error(ns) -> int:
     sups = []
     grid = None
     for scheme in ns.schemes:
-        seq = rmq_run(model, scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
+        seq = rmq_run(model, scheme, params.s0, sched, ns.boundary)
         if seq.n_steps > 1:
             # terminal law implied by the next-to-last quantizer
             prev, zero_mass = seq.live_quantizer(seq.n_steps - 1)

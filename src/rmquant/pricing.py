@@ -45,7 +45,8 @@ class BarrierSpec:
 
     def __post_init__(self):
         if not self.level > 0.0:
-            raise ValueError("barrier level must be positive")
+            raise ValueError(
+                f"barrier level must be positive, got {self.level}")
 
 
 def european_price(seq: QuantizationSequence, payoff: VanillaPayoff,

@@ -43,9 +43,6 @@ ABSORBING = "absorbing"
 REFLECTING = "reflecting"
 BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
 
-# Previous-step components below this get weight 0 in the mixture; their
-# transition rows are still assembled, since the stored matrix keeps them all.
-PROB_FLOOR = 1e-14
 MARKOV_TOL = 1e-10  # loaded probabilities may differ from the replay by this
 _BLOCK_CELLS = 65536  # law cells per row block of a Newton evaluation
 
@@ -160,8 +157,7 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     the same at any thread count.  The evaluation's ``aux`` starts with
     the list of its P row blocks.
     """
-    absm = np.abs(batch.m)
-    pw = np.where(prev_p < PROB_FLOOR, 0.0, prev_p)
+    pw, absm = prev_p, np.abs(batch.m)
     p_c = pw * batch.c
     p_m = pw * absm
     p_f = pw / absm
@@ -436,13 +432,9 @@ def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
 
     def steps():
         # Only the last grid and probabilities carry over, so a consumer
-        # that drops each step holds no earlier matrix.  Absorbing mode
-        # keeps the live chain (prev_p), which feeds the next mixture, apart
-        # from the stored one (last_p, zero state in front): products of
-        # the stored augmented transitions, so the Markov identity holds
-        # exactly as stored.
-        prev_cw, prev_p = np.array([float(s0)]), np.array([1.0])
-        last_p = np.array([0.0, 1.0])   # absorbing: all mass on s0
+        # that drops each step holds no earlier matrix.  prev_p weights the
+        # next mixture; absorbing mode stores it behind the absorbed mass.
+        prev_cw, prev_p, absorbed = np.array([float(s0)]), np.array([1.0]), 0.0
         for k in range(1, sched.K + 1):
             batch = build(model, prev_cw, sched.dt)
             _require_positive_scale(batch, boundary)
@@ -452,15 +444,18 @@ def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
             blocks = ev.aux[0]
             P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             del ev, blocks   # else held while the next step runs
-            prev_cw, prev_p = gam, prev_p @ P
-            cw, p = gam, prev_p
+            p = prev_p @ P
             if boundary == ABSORBING:
-                aug = np.pad(P, ((1, 0), (1, 0)))
-                aug[0, 0] = 1.0
-                aug[1:, 0] = np.maximum(1.0 - P.sum(axis=1), 0.0)
-                cw, p, P = np.concatenate([[0.0], gam]), last_p @ aug, aug
-                last_p = p
-            yield cw, p, P if k > 1 else None
+                lost = np.maximum(1.0 - P.sum(axis=1), 0.0)
+                absorbed += prev_p @ lost
+                P = np.pad(P, ((1, 0), (1, 0)))
+                P[0, 0], P[1:, 0] = 1.0, lost
+                cw = np.concatenate([[0.0], gam])
+                stored = np.concatenate([[absorbed], p])
+            else:
+                cw, stored = gam, p
+            prev_cw, prev_p = gam, p
+            yield cw, stored, P if k > 1 else None
 
     return steps()
 

@@ -44,9 +44,11 @@ class Quantizer:
             raise ValueError("codewords and probabilities must be 1-d and aligned")
         if cw.size == 0:
             raise ValueError("quantizer must contain at least one codeword")
+        if not np.all(np.isfinite(cw)):
+            raise ValueError("codewords must be finite")
         if np.any(np.diff(cw) <= 0.0):
             raise ValueError("codewords must be strictly increasing")
-        if np.any(pr < -1e-12) or np.any(pr > 1.0 + 1e-12):
+        if not np.all((pr >= -1e-12) & (pr <= 1.0 + 1e-12)):
             raise ValueError("probabilities must lie in [0, 1]")
 
 

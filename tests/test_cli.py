@@ -369,6 +369,8 @@ class TestConfigFile:
 BARRIER = ["price", "barrier", "--seed", "1", "--mc-paths", "100",
            "--mc-steps", "12", "--N", "20", "--K", "2"]
 SMALL_GRID = ["--N", "20", "--K", "2"]
+CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
+                  "--sigma-ln", "0.5", "--boundary", "reflecting"]
 
 
 @pytest.mark.parametrize("argv, refused", [
@@ -385,15 +387,31 @@ SMALL_GRID = ["--N", "20", "--K", "2"]
     (["price", "european", "--seed", "1", *SMALL_GRID], ["--seed"]),
     (["price", "bermudan", "--mc-paths", "100", "--mc-steps", "12",
       *SMALL_GRID], ["--mc-paths", "--mc-steps"]),
+    (["rmq", "--model", "gbm", "--alpha", "0.5", "--sigma-ln", "nan",
+      *SMALL_GRID], ["--alpha", "--sigma-ln"]),
+    (["price", "european", *CEV_REFLECTING, "--sigma", "inf", "--seed", "1",
+      "--mc-paths", "1000", "--mc-steps", "12", *SMALL_GRID], ["--sigma"]),
+    (["convergence", "--model", "gbm", "--alpha", "2", "--K-list", "2,3,4",
+      "--N", "10"], ["--alpha"]),
+    (["dist-error", *CEV_REFLECTING, "--sigma", "0.2", "--seed", "1",
+      "--mc-paths", "1000", *SMALL_GRID], ["--sigma"]),
 ], ids=["vq-normal-lambda", "strike-with-strikes", "barrier-strikes",
         "european-levels", "bermudan-levels", "european-fd", "barrier-fd",
-        "gbm-european-seed", "bermudan-mc"])
+        "gbm-european-seed", "bermudan-mc", "rmq-gbm-cev-flags",
+        "price-cev-sigma", "convergence-gbm-alpha", "dist-error-cev-sigma"])
 def test_refuses_flags_it_would_not_read(tmp_path, capsys, argv, refused):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(flag in err for flag in refused)
     assert not out.exists()
+
+
+def test_config_key_of_the_other_model_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.5\n")
+    assert main(["rmq", "--config", str(cfg), *SMALL_GRID]) == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["vq", "--dist", "normal"], ["rmq"],
@@ -403,6 +421,16 @@ def test_seed_only_where_monte_carlo_runs(command):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Make every quantization and Monte Carlo reference fail the test."""
+    def compute(*args, **kwargs):
+        pytest.fail("the input should be refused before anything is computed")
+
+    for name in ("rmq_run", "simulate_terminal", "empirical_cdf"):
+        monkeypatch.setattr(cli, name, compute)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -426,16 +454,31 @@ def test_seed_only_where_monte_carlo_runs(command):
         "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
         "fd-smax-mult-inf", "barrier-mc-paths-0", "barrier-mc-steps-0",
         "cev-european-mc-steps-0", "barrier-mc-steps-indivisible"])
-def test_invalid_numbers_are_usage_errors(capsys, monkeypatch, argv, named):
-    def quantize(*args, **kwargs):
-        pytest.fail("the input should be refused before quantization runs")
-
-    monkeypatch.setattr(cli, "rmq_run", quantize)
+def test_invalid_numbers_are_usage_errors(capsys, no_computation, argv, named):
     small = [] if argv[0] == "vq" else SMALL_GRID
     assert main([*argv, *small]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+# The last --K wins, so a bad one follows SMALL_GRID.
+@pytest.mark.parametrize("argv, named", [
+    (["price", "barrier", "--seed", "1", "--mc-paths", "100", *SMALL_GRID,
+      "--K", "0"], "K must be >= 1, got 0"),
+    (["price", "european", *SMALL_GRID, "--K", "0"], "K must be >= 1, got 0"),
+    (["price", "barrier", "--seed", "1", "--levels=-1:0.5:3",
+      "--mc-paths", "200000", *SMALL_GRID],
+     "barrier level must be positive, got -100.0"),
+    (["dist-error", *CEV_REFLECTING, "--seed", "1", "--mc-paths", "50000",
+      *SMALL_GRID, "--K", "0"], "K must be >= 1, got 0"),
+], ids=["barrier-k-0", "european-k-0", "barrier-negative-level",
+        "dist-error-cev-k-0"])
+def test_run_inputs_are_refused_before_computing(capsys, no_computation,
+                                                 argv, named):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err
 
 
 @pytest.mark.parametrize("instrument, flag, value", [

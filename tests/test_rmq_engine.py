@@ -11,6 +11,7 @@ from rmquant import (CodewordDomainError, Ncx2Params, RmqError, Schedule,
                      UpdateBatch, european_price, implied_marginal_cdf,
                      load_sequence_json, ncx2_1_funcs, rmq_run, rmq_steps,
                      std_normal_funcs)
+from rmquant import rmq_engine
 from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
 from rmquant.rmq_engine import _mixture_evaluator, _step1_guess, _z_matrices
@@ -652,6 +653,38 @@ class TestStream:
             seq = rmq_run(gbm, row["scheme"], GBM.s0,
                           Schedule(T=1.0, K=row["K"], n_per_step=40))
             assert row["abs_error"] == abs(seq.terminal_mean() - target)
+
+
+class TestProbabilityChain:
+    """The stored probabilities are the chain that weights each mixture."""
+
+    @pytest.mark.parametrize("boundary", ["free", "absorbing"])
+    def test_stored_probabilities_weight_the_next_mixture(
+            self, gbm, cev_low_alpha, boundary, monkeypatch):
+        weights = []
+
+        def recording(prev_p, *args):
+            weights.append(prev_p)
+            return _mixture_evaluator(prev_p, *args)
+
+        monkeypatch.setattr(rmq_engine, "_mixture_evaluator", recording)
+        seq = rmq_run(*_stream_args(gbm, cev_low_alpha, boundary))
+        assert len(weights) == seq.n_steps == 4
+        assert np.array_equal(weights[0], [1.0])
+        live = slice(1 if boundary == "absorbing" else 0, None)
+        for k in range(1, seq.n_steps):
+            assert np.array_equal(seq.probabilities[k - 1][live], weights[k])
+
+    @pytest.mark.parametrize("scheme", ["euler", "weak2"])
+    def test_zero_state_collects_the_lost_mass(self, cev_low_alpha, scheme):
+        seq = rmq_run(cev_low_alpha, scheme, CEV_LOW_ALPHA.s0,
+                      Schedule(T=1.0, K=6, n_per_step=40), "absorbing")
+        zm = seq.zero_state_mass
+        assert zm[-1] > zm[0] > 0.0
+        for k in range(1, seq.n_steps):
+            p, P = seq.probabilities[k - 1], seq.transitions[k - 1]
+            lost = np.ascontiguousarray(P[1:, 0])
+            assert zm[k] == zm[k - 1] + p[1:] @ lost
 
 
 @pytest.mark.parametrize("k", [0, -1, 5])

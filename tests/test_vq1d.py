@@ -294,6 +294,15 @@ class TestQuantizerType:
         with pytest.raises(ValueError):
             Quantizer(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("codewords, probabilities, named", [
+        ([90.0, np.nan, 110.0], [0.3, 0.3, 0.4], "codewords must be finite"),
+        ([1.0, 2.0, np.inf], [0.3, 0.3, 0.4], "codewords must be finite"),
+        ([90.0, 100.0, 110.0], [np.nan, 0.3, 0.4], "probabilities must lie"),
+    ], ids=["nan-codeword", "inf-codeword", "nan-probability"])
+    def test_refuses_non_finite_input(self, codewords, probabilities, named):
+        with pytest.raises(ValueError, match=named):
+            Quantizer(np.array(codewords), np.array(probabilities))
+
 
 def counted(dist):
     """``dist`` with a call counter on its fused law callable."""
