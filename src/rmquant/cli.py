@@ -11,7 +11,9 @@ dist-error   implied-vs-reference terminal cdf error profile
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
 and require it where a reference is simulated.  A flag that the run would
-not read is a usage error, not silently dropped.  A ``--config`` file of
+not read is a usage error, not silently dropped: each command, and each
+``price`` instrument, declares only the flags it reads, and the run
+refuses those that its model leaves unread.  A ``--config`` file of
 ``key=value`` lines supplies defaults that explicit flags override: each
 key is a long flag name without ``--`` (``N=200``, ``iters-rmq=10``,
 ``lambda=4``) and is checked exactly like that flag.
@@ -53,8 +55,6 @@ DIST_ERROR_SCHEMA = "rmquant.dist-error.v1"
 ALL_SCHEMES = tuple(SCHEME_BUILDERS)
 MC_PATHS = 1_000_000    # Monte Carlo reference defaults
 MC_STEPS = 1200
-FD_FLAGS = ("--fd-time-steps", "--fd-space-steps", "--fd-smax-mult")
-FD_DEFAULTS = (600, 800, 4.0)   # Crank-Nicolson reference, FdConfig order
 GBM_SIGMA, CEV_ALPHA, CEV_SIGMA_LN = 0.3, 0.7, 0.3   # model parameter defaults
 
 
@@ -144,17 +144,18 @@ def _mc_flags(ns):
     return {"--seed": ns.seed, "--mc-paths": ns.mc_paths, "--mc-steps": ns.mc_steps}
 
 
-def _refuse_unread(command: str, rules) -> bool:
-    """True, with the flags named on stderr, if this run was given flags
-    it would not read.  ``rules`` holds ``(applies, reason, {flag: value})``;
-    where a rule applies, the flags whose value is not None are refused."""
-    refused = False
+def _refuse_unread(rules):
+    """Raise ValueError, naming every refused flag, if this run was given
+    flags it would not read.  ``rules`` holds ``(applies, reason,
+    {flag: value})``; where a rule applies, the flags whose value is not
+    None are refused."""
+    refused = []
     for applies, reason, flags in rules:
         given = [flag for flag, value in flags.items() if value is not None]
         if applies and given:
-            print(f"{command}: {', '.join(given)}: {reason}", file=sys.stderr)
-            refused = True
-    return refused
+            refused.append(f"{', '.join(given)}: {reason}")
+    if refused:
+        raise ValueError("; ".join(refused))
 
 
 def _common_args(sp):
@@ -187,24 +188,36 @@ def build_parser() -> argparse.ArgumentParser:
     rmq.set_defaults(func=cmd_rmq)
 
     price = sub.add_parser("price", help="price claims on the grids")
-    price.add_argument("instrument",
-                       choices=("european", "bermudan", "barrier"))
-    price.add_argument("--scheme", choices=ALL_SCHEMES, default="weak2")
-    price.add_argument("--kind", choices=("put", "call"), default="put")
-    price.add_argument("--strike", type=float, default=None,
-                       help="absolute strike (default: at the money)")
-    price.add_argument("--strikes", type=_parse_range, default=None,
-                       help="strike grid as multiples of s0 (start:stop:count)")
-    price.add_argument("--levels", type=_parse_range, default=None,
-                       help="barrier levels as multiples of the strike")
-    for flag, default in zip(FD_FLAGS, FD_DEFAULTS):
-        price.add_argument(flag, type=type(default), default=None,
-                           help=f"bermudan reference grid (default {default})")
-    _mc_args(price)
-    _model_args(price)
-    _run_args(price)
-    _common_args(price)
-    price.set_defaults(func=cmd_price)
+    instruments = price.add_subparsers(dest="instrument", required=True)
+    for name in ("european", "bermudan", "barrier"):
+        sp = instruments.add_parser(name, help=f"price {name} claims")
+        sp.add_argument("--scheme", choices=ALL_SCHEMES, default="weak2")
+        sp.add_argument("--kind", choices=("put", "call"), default="put")
+        # a barrier claim has one strike, a vanilla one a strike or a grid
+        strike = sp if name == "barrier" else sp.add_mutually_exclusive_group()
+        strike.add_argument("--strike", type=float, default=None,
+                            help="absolute strike (default: at the money)")
+        if name == "barrier":
+            sp.add_argument("--levels", type=_parse_range, default="1.05:1.5:10",
+                            help="barrier levels as multiples of the strike "
+                                 "(default %(default)s)")
+        else:
+            strike.add_argument("--strikes", type=_parse_range, default=None,
+                                help="strike grid as multiples of s0 "
+                                     "(start:stop:count)")
+        if name == "bermudan":
+            for flag, default in (("--fd-time-steps", 600),
+                                  ("--fd-space-steps", 800),
+                                  ("--fd-smax-mult", 4.0)):
+                sp.add_argument(flag, type=type(default), default=default,
+                                help="Crank-Nicolson reference grid "
+                                     "(default %(default)s)")
+        else:
+            _mc_args(sp)
+        _model_args(sp)
+        _run_args(sp)
+        _common_args(sp)
+        sp.set_defaults(func=cmd_price)
 
     # No abbreviations here: "--K" would silently read as "--K-list".
     conv = sub.add_parser("convergence", help="weak-order slope study",
@@ -287,13 +300,11 @@ def _write_table(ns, schema: str, columns: List[str], rows: List[dict]):
 # ----------------------------------------------------------------------
 
 def cmd_vq(ns) -> int:
-    if _refuse_unread("vq", [(ns.dist == "normal", "only ncx2 has a noncentrality",
-                              {"--lambda": ns.lam})]):
-        return EXIT_USAGE
+    _refuse_unread([(ns.dist == "normal", "only ncx2 has a noncentrality",
+                     {"--lambda": ns.lam})])
     if ns.dist == "ncx2":
         if ns.lam is None:
-            print("vq: --dist ncx2 requires --lambda", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--dist ncx2 requires --lambda")
         dist = ncx2_1_funcs(Ncx2Params(lam=ns.lam))
         guess = initial_guess("ncx2", ns.n, ns.lam)
     else:
@@ -314,8 +325,7 @@ def cmd_vq(ns) -> int:
 
 
 def cmd_rmq(ns) -> int:
-    if _refuse_unread("rmq", _model_rules(ns)):
-        return EXIT_USAGE
+    _refuse_unread(_model_rules(ns))
     model, params = _build_model(ns)
     seq = rmq_run(model, ns.scheme, params.s0, _schedule(ns, ns.K), ns.boundary)
     with _open_out(ns) as fh:
@@ -332,40 +342,30 @@ def _monitoring_stride(mc_steps: int, K: int) -> int:
 
 def cmd_price(ns) -> int:
     barrier = ns.instrument == "barrier"
-    mc_ref = barrier or (ns.instrument == "european" and ns.model == "cev")
-    fd = (ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
-    if _refuse_unread("price", [
-            (ns.strikes is not None, "cannot be combined with --strikes",
-             {"--strike": ns.strike}),
-            (barrier, "barrier takes its one strike from --strike",
-             {"--strikes": ns.strikes}),
-            (not barrier, "only barrier has levels", {"--levels": ns.levels}),
-            (ns.instrument != "bermudan", "only bermudan has a "
-             "finite-difference reference", dict(zip(FD_FLAGS, fd))),
-            (not mc_ref, "only barrier and CEV european "
-             "have a Monte Carlo reference", _mc_flags(ns)),
-            *_model_rules(ns)]):
-        return EXIT_USAGE
+    european = ns.instrument == "european"
+    mc_ref = barrier or (european and ns.model == "cev")
+    rules = _model_rules(ns)
+    if european:   # the other instruments declare only the flags they read
+        rules.append((not mc_ref, "a GBM european has no Monte Carlo reference",
+                      _mc_flags(ns)))
+    _refuse_unread(rules)
     if mc_ref and ns.seed is None:
         what = "barrier" if barrier else "CEV european"
-        print(f"price: {what} references need --seed", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{what} references need --seed")
     model, params = _build_model(ns)
     kind = ns.kind
     r = ns.r
     atm = ns.strike if ns.strike is not None else params.s0
-    strikes = (ns.strikes * params.s0 if ns.strikes is not None
-               else np.array([atm]))
+    strikes = (np.array([atm]) if barrier or ns.strikes is None
+               else ns.strikes * params.s0)
     # Built before the run, so that a bad K, strike, barrier level, grid or
     # Monte Carlo size is refused at once.
     sched = _schedule(ns, ns.K)
     payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
     if barrier:
-        levels = (ns.levels if ns.levels is not None
-                  else np.linspace(1.05, 1.5, 10)) * atm
-        barriers = [BarrierSpec(level=float(level)) for level in levels]
+        barriers = [BarrierSpec(level=float(level)) for level in ns.levels * atm]
     if ns.instrument == "bermudan":
-        fd_cfg = FdConfig(*(d if v is None else v for v, d in zip(fd, FD_DEFAULTS)))
+        fd_cfg = FdConfig(ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
     if mc_ref:
         paths, steps = _mc_sizes(ns)
         stride = _monitoring_stride(steps, ns.K) if barrier else 1
@@ -386,7 +386,7 @@ def cmd_price(ns) -> int:
                      "reference": ref, "abs_error": abs(price - ref),
                      "std_error": se})
 
-    if ns.instrument == "european":
+    if european:
         for strike, payoff in zip(strikes, payoffs):
             if ns.model == "gbm":
                 ref, se = black_scholes(kind, params.s0, float(strike), r,
@@ -414,12 +414,9 @@ def cmd_price(ns) -> int:
 
 
 def cmd_convergence(ns) -> int:
-    if len(ns.k_list) < 3:
-        print("convergence: need at least 3 K values to regress a slope",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if _refuse_unread("convergence", _model_rules(ns)):
-        return EXIT_USAGE
+    if len(set(ns.k_list)) < 3:
+        raise ValueError("need at least 3 distinct K values to regress a slope")
+    _refuse_unread(_model_rules(ns))
     model, params = _build_model(ns)
     # Built before the first run, so that a bad K is refused at once.
     schedules = [_schedule(ns, K) for K in ns.k_list]
@@ -446,13 +443,10 @@ def cmd_convergence(ns) -> int:
 
 def cmd_dist_error(ns) -> int:
     if ns.grid_points < 1:
-        print("dist-error: --grid-points must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if _refuse_unread("dist-error", [
-            (ns.model == "gbm", "only CEV has a Monte Carlo reference; "
-             "GBM uses the exact marginal", _mc_flags(ns)),
-            *_model_rules(ns)]):
-        return EXIT_USAGE
+        raise ValueError("--grid-points must be >= 1")
+    _refuse_unread([(ns.model == "gbm", "only CEV has a Monte Carlo reference; "
+                     "GBM uses the exact marginal", _mc_flags(ns)),
+                    *_model_rules(ns)])
     model, params = _build_model(ns)
     sched = _schedule(ns, ns.K)   # a bad K is refused before the reference
     if ns.model == "gbm":
@@ -464,8 +458,7 @@ def cmd_dist_error(ns) -> int:
         hi = params.s0 * np.exp(mu + sd * ndtri(1.0 - 1e-5))
     else:
         if ns.seed is None:
-            print("dist-error: CEV references need --seed", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("CEV references need --seed")
         paths, steps = _mc_sizes(ns)
         ref = empirical_cdf(model, params.s0, ns.T, paths, ns.seed,
                             steps=steps, boundary=ns.boundary)
@@ -515,9 +508,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"rmquant: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        words = 2 if ns.command == "price" else 1   # price <instrument>
         ns, unknown = parser.parse_known_args(
-            argv[:1] + [f"--{key.replace('_', '-')}={value}"
-                        for key, value in cfg.items()] + argv[1:])
+            argv[:words] + [f"--{key.replace('_', '-')}={value}"
+                            for key, value in cfg.items()] + argv[words:])
         if unknown:
             keys = ", ".join(tok.lstrip("-").split("=", 1)[0] for tok in unknown)
             print(f"rmquant: config error: unknown config key {keys}",

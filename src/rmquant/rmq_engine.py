@@ -397,10 +397,14 @@ def _step1_guess(batch: UpdateBatch, n: int, boundary: str) -> np.ndarray:
 
 
 def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
-    """Abort before the next step would evaluate coefficients off-domain."""
+    """Abort before the next step would evaluate coefficients off-domain,
+    or build its regions on tied codewords."""
     lo, hi = model.coef_domain
     if np.all(np.isfinite(gam)) and np.all(gam > lo) and np.all(gam < hi):
-        return
+        if np.all(np.diff(gam) > 0.0):
+            return
+        raise RmqError(f"step {step}: codewords are not strictly increasing; "
+                       f"the step's spread is below the resolution of the state")
     bad = float(np.min(gam)) if np.all(np.isfinite(gam)) else np.nan
     raise CodewordDomainError(
         step,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,13 @@ class TestRmq:
                    "--sigma-ln", "0.5", "--N", "100", "--boundary",
                    "reflecting", "--out", str(out)])
         assert rc == 0
+
+    def test_tied_codewords_are_a_numerical_failure(self, capsys):
+        # the step's spread is below one ulp of s0, so every codeword is s0
+        assert main(["rmq", "--T", "1e-300", "--K", "2", "--N", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "step 1: codewords are not strictly increasing" in err
 
     def test_json_dump_reprices_identically(self, tmp_path):
         out = tmp_path / "seq.json"
@@ -202,10 +212,18 @@ class TestConvergence:
         assert len(points) == 3 and len(slopes) == 1
         assert 0.5 < float(slopes[0]["beta"]) < 1.5
 
-    def test_too_few_k_values(self, tmp_path):
+    def test_too_few_k_values(self, tmp_path, capsys, monkeypatch):
         rc = main(["convergence", "--schemes", "euler", "--K-list", "8",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        # repeated entries are one step count: refused before the first run
+        monkeypatch.setattr(cli, "rmq_steps", lambda *args: pytest.fail(
+            "the K list should be refused before quantization runs"))
+        for k_list in ("2,2,2", "2,4,4"):
+            assert main(["convergence", "--schemes", "euler", "--K-list",
+                         k_list, "--N", "10"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "3 distinct K values" in err
 
     def test_bad_k_is_refused_before_quantizing(self, capsys, monkeypatch):
         def quantize(*args, **kwargs):
@@ -354,6 +372,18 @@ class TestConfigFile:
         assert grids["one"] != grids["seven"]
         assert grids["config"] == grids["one"]
 
+    def test_config_follows_the_instrument(self, tmp_path, capsys):
+        # price takes two command words; the config lines go after both
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("levels=1.1:1.3:3\nN=20\nK=2\n")
+        out = tmp_path / "prices.csv"
+        assert main(["price", "barrier", "--config", str(cfg), "--seed", "1",
+                     "--mc-paths", "100", "--mc-steps", "12",
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 3
+        assert main(["price", "european", "--config", str(cfg)]) == 2
+        assert "unknown config key levels" in capsys.readouterr().err
+
     def test_key_is_the_flag_name(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lambda=4\n")
@@ -373,35 +403,46 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
                   "--sigma-ln", "0.5", "--boundary", "reflecting"]
 
 
-@pytest.mark.parametrize("argv, refused", [
-    (["vq", "--dist", "normal", "--lambda", "4"], ["--lambda"]),
+# by_parser: argparse refuses the flag, as a price instrument declares
+# only the flags it reads.
+@pytest.mark.parametrize("argv, refused, by_parser", [
+    (["vq", "--dist", "normal", "--lambda", "4"], ["--lambda"], False),
     (["price", "european", "--strike", "90", "--strikes", "1:1.1:2",
-      *SMALL_GRID], ["--strike"]),
-    ([*BARRIER, "--strikes", "1:1.1:2"], ["--strikes"]),
-    (["price", "european", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"]),
-    (["price", "bermudan", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"]),
+      *SMALL_GRID], ["--strike"], True),
+    ([*BARRIER, "--strikes", "1:1.1:2"], ["--strikes"], True),
+    (["price", "european", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"],
+     True),
+    (["price", "bermudan", "--levels", "1.1:1.3:3", *SMALL_GRID], ["--levels"],
+     True),
     (["price", "european", "--fd-time-steps", "300", *SMALL_GRID],
-     ["--fd-time-steps"]),
+     ["--fd-time-steps"], True),
     ([*BARRIER, "--fd-space-steps", "400", "--fd-smax-mult", "5"],
-     ["--fd-space-steps", "--fd-smax-mult"]),
-    (["price", "european", "--seed", "1", *SMALL_GRID], ["--seed"]),
+     ["--fd-space-steps", "--fd-smax-mult"], True),
+    (["price", "european", "--seed", "1", *SMALL_GRID], ["--seed"], False),
     (["price", "bermudan", "--mc-paths", "100", "--mc-steps", "12",
-      *SMALL_GRID], ["--mc-paths", "--mc-steps"]),
+      *SMALL_GRID], ["--mc-paths", "--mc-steps"], True),
     (["rmq", "--model", "gbm", "--alpha", "0.5", "--sigma-ln", "nan",
-      *SMALL_GRID], ["--alpha", "--sigma-ln"]),
+      *SMALL_GRID], ["--alpha", "--sigma-ln"], False),
     (["price", "european", *CEV_REFLECTING, "--sigma", "inf", "--seed", "1",
-      "--mc-paths", "1000", "--mc-steps", "12", *SMALL_GRID], ["--sigma"]),
+      "--mc-paths", "1000", "--mc-steps", "12", *SMALL_GRID], ["--sigma"],
+     False),
     (["convergence", "--model", "gbm", "--alpha", "2", "--K-list", "2,3,4",
-      "--N", "10"], ["--alpha"]),
+      "--N", "10"], ["--alpha"], False),
     (["dist-error", *CEV_REFLECTING, "--sigma", "0.2", "--seed", "1",
-      "--mc-paths", "1000", *SMALL_GRID], ["--sigma"]),
+      "--mc-paths", "1000", *SMALL_GRID], ["--sigma"], False),
 ], ids=["vq-normal-lambda", "strike-with-strikes", "barrier-strikes",
         "european-levels", "bermudan-levels", "european-fd", "barrier-fd",
         "gbm-european-seed", "bermudan-mc", "rmq-gbm-cev-flags",
         "price-cev-sigma", "convergence-gbm-alpha", "dist-error-cev-sigma"])
-def test_refuses_flags_it_would_not_read(tmp_path, capsys, argv, refused):
+def test_refuses_flags_it_would_not_read(tmp_path, capsys, argv, refused,
+                                         by_parser):
     out = tmp_path / "out.csv"
-    assert main([*argv, "--out", str(out)]) == 2
+    if by_parser:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+    else:
+        assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(flag in err for flag in refused)
     assert not out.exists()
@@ -515,6 +556,20 @@ def test_malformed_lists_are_usage_errors(capsys, argv, named):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and named in err
+
+
+def test_process_exit_codes():
+    # the interpreter entry, not main: a parser refusal must also exit 2
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
+                                           / "src")}
+    for argv, code in [
+            (["vq", "--dist", "normal", "--n", "5"], 0),
+            (["rmq", "--model", "cev", "--s0", "0.5", "--alpha", "0.35",
+              "--sigma-ln", "0.5", "--N", "100"], 1),
+            (["price", "european", "--levels", "1.1:1.3:3"], 2)]:
+        done = subprocess.run([sys.executable, "-m", "rmquant.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)
 
 
 def test_output_goes_to_stdout_without_out(capsys):

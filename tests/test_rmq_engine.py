@@ -693,3 +693,12 @@ def test_live_quantizer_refuses_steps_outside_the_run(gbm, k):
     assert np.array_equal(seq.live_quantizer(4)[0].codewords, seq.codewords[-1])
     with pytest.raises(ValueError, match=f"step must be in 1..4, got {k}"):
         seq.live_quantizer(k)
+
+
+def test_tied_codewords_are_refused(gbm):
+    # a spread below one ulp of s0 puts every codeword at s0
+    with pytest.raises(RmqError, match="step 1: codewords are not strictly "
+                                       "increasing"):
+        rmq_run(gbm, "euler", 100.0, Schedule(T=1e-300, K=2, n_per_step=5))
+    seq = rmq_run(gbm, "euler", 100.0, Schedule(T=1e-20, K=2, n_per_step=5))
+    assert all(np.all(np.diff(cw) > 0.0) for cw in seq.codewords)
