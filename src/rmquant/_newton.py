@@ -4,9 +4,9 @@ the recursive marginal engine.
 
 The objective's Hessian is symmetric tridiagonal, so each iteration is an
 O(N) banded solve.  A full Newton step is accepted only if the trial grid
-stays strictly increasing (and inside its domain) and does not increase
-the gradient sup-norm; otherwise the step is halved, up to 30 times, and
-as a last resort one Lloyd centroid step replaces the Newton step.
+passes :func:`grid_fault` and does not increase the gradient sup-norm;
+otherwise the step is halved, up to 30 times, and as a last resort one
+Lloyd centroid step replaces the Newton step.
 """
 
 from __future__ import annotations
@@ -40,6 +40,21 @@ def voronoi_edges(gam: np.ndarray, lo: float, hi: float) -> np.ndarray:
     edges[-1] = hi
     edges[1:-1] = 0.5 * (gam[:-1] + gam[1:])
     return edges
+
+
+def grid_fault(gam: np.ndarray, lo=-np.inf, hi=np.inf) -> Optional[str]:
+    """Why the float array ``gam`` is not a grid on the open (lo, hi), or
+    None.  Adjacent floats can have equal midpoints, so the region
+    boundaries must be strictly increasing too, not just the codewords."""
+    if gam.ndim != 1 or gam.size == 0 or not np.all(np.isfinite(gam)):
+        return "codewords must be a finite, nonempty 1-d vector"
+    if np.any(np.diff(gam) <= 0.0):
+        return "codewords must be strictly increasing"
+    if not (gam[0] > lo and gam[-1] < hi):
+        return "codewords must lie strictly inside the support"
+    if np.any(np.diff(voronoi_edges(gam, lo, hi)) <= 0.0):
+        return "codewords are too close: region boundaries collapse"
+    return None
 
 
 def step_eval(gam, mass, loc_moment, scale_moment, edge_density,
@@ -77,22 +92,16 @@ def solve_tridiag(diag, off, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _admissible(gam, lo, hi):
-    """A finite, strictly increasing grid inside the open (lo, hi)."""
-    return bool(np.all(np.isfinite(gam)) and np.all(np.diff(gam) > 0.0)
-                and (lo is None or gam[0] > lo) and (hi is None or gam[-1] < hi))
-
-
 def damped_newton(gamma0: np.ndarray,
                   evaluate: Callable[[np.ndarray], StepEval],
                   n_iter: int,
-                  lo: Optional[float] = None,
-                  hi: Optional[float] = None):
+                  lo: float = -np.inf,
+                  hi: float = np.inf):
     """Run up to ``n_iter`` safeguarded Newton steps from ``gamma0``.
 
-    ``evaluate`` maps a strictly increasing grid to a :class:`StepEval`.
-    ``lo``/``hi`` are open domain bounds the grid must respect (pass None
-    for unbounded ends).  Returns the final grid together with its
+    ``evaluate`` maps a grid to a :class:`StepEval`.  Every grid it is
+    given after ``gamma0`` passes :func:`grid_fault` on the open bounds
+    ``lo``/``hi``.  Returns the final grid together with its
     evaluation, which is always consistent with the returned grid.
     """
     gam = np.asarray(gamma0, dtype=float)
@@ -107,7 +116,7 @@ def damped_newton(gamma0: np.ndarray,
         alpha = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = gam - alpha * step
-            if _admissible(trial, lo, hi):
+            if grid_fault(trial, lo, hi) is None:
                 trial_ev = evaluate(trial)
                 gt = float(np.max(np.abs(trial_ev.grad)))
                 if gt <= g0 or gt < GRAD_TOL:
@@ -117,7 +126,7 @@ def damped_newton(gamma0: np.ndarray,
         if accepted is None:
             # Lloyd fallback: move every codeword to its region centroid.
             trial = ev.centroids
-            if not _admissible(trial, lo, hi):
+            if grid_fault(trial, lo, hi) is not None:
                 break  # nothing safe left to do; keep the current grid
             accepted = (trial, evaluate(trial))
         gam, ev = accepted

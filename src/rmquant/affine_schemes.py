@@ -160,8 +160,9 @@ def _completed_square(model: SdeModel, x, dt: float, weak2: bool) -> UpdateBatch
         lam = 1.0 / (dt * safe_bx ** 2)
 
     if np.any(degen):
-        m = np.where(degen, b * np.sqrt(dt), m)
-        c = np.where(degen, x + a * dt, c)
+        euler = euler_updates(model, x, dt)
+        m = np.where(degen, euler.m, m)
+        c = np.where(degen, euler.c, c)
         lam = np.where(degen, 0.0, lam)
     return UpdateBatch(m, c, lam, ~degen, degen)
 

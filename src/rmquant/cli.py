@@ -500,24 +500,26 @@ def cmd_dist_error(ns) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    first = argv[1] if argv[:1] == ["price"] and len(argv) > 1 else ""
+    if first.startswith("-") and first not in ("-h", "--help"):
+        # argparse would take the flag's value for the instrument
+        parser.error(f"price: the instrument comes right after 'price' and "
+                     f"the flags follow it; got {first!r} first")
     ns = parser.parse_args(argv)
-    if ns.config:
-        # Config lines become flags ahead of the explicit ones, which win.
-        try:
-            cfg = _read_config(ns.config)
-        except (OSError, ValueError) as exc:
-            print(f"rmquant: config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        words = 2 if ns.command == "price" else 1   # price <instrument>
-        ns, unknown = parser.parse_known_args(
-            argv[:words] + [f"--{key.replace('_', '-')}={value}"
-                            for key, value in cfg.items()] + argv[words:])
-        if unknown:
-            keys = ", ".join(tok.lstrip("-").split("=", 1)[0] for tok in unknown)
-            print(f"rmquant: config error: unknown config key {keys}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     try:
+        if ns.config:
+            # Config lines become flags ahead of the explicit ones, which win.
+            try:
+                cfg = _read_config(ns.config)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"config error: {exc}") from None
+            words = 2 if ns.command == "price" else 1   # price <instrument>
+            ns, unknown = parser.parse_known_args(
+                argv[:words] + [f"--{key.replace('_', '-')}={value}"
+                                for key, value in cfg.items()] + argv[words:])
+            if unknown:
+                raise ValueError("config error: unknown config key " + ", ".join(
+                    tok.lstrip("-").split("=", 1)[0] for tok in unknown))
         return ns.func(ns)
     except (RmqError, CoefficientDomainError) as exc:
         print(f"rmquant: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from typing import IO, List, Optional
 import numpy as np
 
 from . import _pool
-from ._newton import damped_newton, step_eval, voronoi_edges
+from ._newton import damped_newton, grid_fault, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
 from .sde_models import CevParams, GbmParams, SdeModel, cev_model, gbm_model
 from .vq1d import Quantizer, checked_grid, initial_guess
@@ -398,20 +398,18 @@ def _step1_guess(batch: UpdateBatch, n: int, boundary: str) -> np.ndarray:
 
 def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
     """Abort before the next step would evaluate coefficients off-domain,
-    or build its regions on tied codewords."""
+    or build its regions on a grid that :func:`grid_fault` refuses."""
     lo, hi = model.coef_domain
-    if np.all(np.isfinite(gam)) and np.all(gam > lo) and np.all(gam < hi):
-        if np.all(np.diff(gam) > 0.0):
-            return
-        raise RmqError(f"step {step}: codewords are not strictly increasing; "
-                       f"the step's spread is below the resolution of the state")
-    bad = float(np.min(gam)) if np.all(np.isfinite(gam)) else np.nan
-    raise CodewordDomainError(
-        step,
-        f"step {step}: quantizer left the coefficient domain ({lo:g}, {hi:g}) "
-        f"(min codeword {bad:.6g}); for processes that can reach zero, "
-        f"rerun with an absorbing or reflecting boundary",
-    )
+    outside = gam[~((gam > lo) & (gam < hi))]   # NaN and +-inf too
+    if outside.size:
+        raise CodewordDomainError(step, (
+            f"step {step}: quantizer left the coefficient domain ({lo:g}, "
+            f"{hi:g}) (codeword {outside[0]:.6g}); for processes that can "
+            f"reach zero, rerun with an absorbing or reflecting boundary"))
+    fault = grid_fault(gam)
+    if fault is not None:
+        raise RmqError(f"step {step}: {fault}; the step's spread is below "
+                       f"the resolution of the state")
 
 
 def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
@@ -485,7 +483,7 @@ def rmq_steps(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     with the schedule's VQ iteration budget; every later step starts from
     the previous grid and spends the smaller recursive budget.
     """
-    newton_lo = 0.0 if boundary != FREE else None
+    newton_lo = -np.inf if boundary == FREE else 0.0
 
     def newton(k, batch, prev_cw, evaluate):
         if k == 1:

@@ -24,30 +24,25 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import StepEval, damped_newton, step_eval, voronoi_edges
+from ._newton import (StepEval, damped_newton, grid_fault, step_eval,
+                      voronoi_edges)
 from .distributions import ScalarDistribution
 
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Strictly increasing codewords with their region probabilities."""
+    """A grid of codewords with their region probabilities."""
 
     codewords: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=float)
+        cw = checked_grid(self.codewords)
         pr = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "codewords", cw)
         object.__setattr__(self, "probabilities", pr)
-        if cw.ndim != 1 or pr.shape != cw.shape:
+        if pr.shape != cw.shape:
             raise ValueError("codewords and probabilities must be 1-d and aligned")
-        if cw.size == 0:
-            raise ValueError("quantizer must contain at least one codeword")
-        if not np.all(np.isfinite(cw)):
-            raise ValueError("codewords must be finite")
-        if np.any(np.diff(cw) <= 0.0):
-            raise ValueError("codewords must be strictly increasing")
         if not np.all((pr >= -1e-12) & (pr <= 1.0 + 1e-12)):
             raise ValueError("probabilities must lie in [0, 1]")
 
@@ -65,27 +60,20 @@ class RegionBounds:
         return np.concatenate([self.lowers, self.uppers[-1:]])
 
 
+def checked_grid(codewords, support=(-np.inf, np.inf)) -> np.ndarray:
+    """``codewords`` as a float array; a ValueError unless they are a grid
+    on ``support`` (:func:`rmquant._newton.grid_fault`)."""
+    gam = np.asarray(codewords, dtype=float)
+    fault = grid_fault(gam, *support)
+    if fault is not None:
+        raise ValueError(fault)
+    return gam
+
+
 def region_boundaries(codewords, support=(-np.inf, np.inf)) -> RegionBounds:
     """Voronoi region bounds: midpoints inside, support ends outside."""
-    gam = np.asarray(codewords, dtype=float)
-    if gam.ndim != 1 or gam.size == 0 or not np.all(np.isfinite(gam)):
-        raise ValueError("codewords must be a finite, nonempty 1-d vector")
-    if np.any(np.diff(gam) <= 0.0):
-        raise ValueError("codewords must be strictly increasing")
-    lo, hi = support
-    if not (gam[0] > lo and gam[-1] < hi):
-        raise ValueError("codewords must lie strictly inside the support")
-    edges = voronoi_edges(gam, lo, hi)
-    if np.any(np.diff(edges) <= 0.0):
-        raise ValueError("codewords are too close: region boundaries collapse")
+    edges = voronoi_edges(checked_grid(codewords, support), *support)
     return RegionBounds(lowers=edges[:-1], uppers=edges[1:])
-
-
-def checked_grid(codewords, support) -> np.ndarray:
-    """``codewords`` as a float array, validated by :func:`region_boundaries`."""
-    gam = np.asarray(codewords, dtype=float)
-    region_boundaries(gam, support)
-    return gam
 
 
 def _edge_diffs(dist: ScalarDistribution, edges: np.ndarray):
@@ -132,13 +120,9 @@ def newton_quantize(dist: ScalarDistribution, gamma0, n_max: int) -> Quantizer:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    gam = checked_grid(gamma0, dist.support)
-    lo, hi = dist.support
-    gam, ev = damped_newton(
-        gam, lambda g: _evaluate(dist, g), n_max,
-        lo=None if np.isneginf(lo) else lo,
-        hi=None if np.isposinf(hi) else hi,
-    )
+    gam, ev = damped_newton(checked_grid(gamma0, dist.support),
+                            lambda g: _evaluate(dist, g), n_max,
+                            *dist.support)
     return Quantizer(codewords=gam, probabilities=np.maximum(ev.aux, 0.0))
 
 

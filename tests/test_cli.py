@@ -88,7 +88,15 @@ class TestRmq:
         assert main(["rmq", "--T", "1e-300", "--K", "2", "--N", "5"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "step 1: codewords are not strictly increasing" in err
+        assert "step 1: codewords must be strictly increasing" in err
+
+    def test_collapsed_regions_are_a_numerical_failure(self, capsys):
+        # the codewords are adjacent floats of s0, so midpoints coincide
+        assert main(["rmq", "--T", "1e-30", "--K", "2", "--N", "5",
+                     "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "step 1: codewords are too close" in err
 
     def test_json_dump_reprices_identically(self, tmp_path):
         out = tmp_path / "seq.json"
@@ -446,6 +454,29 @@ def test_refuses_flags_it_would_not_read(tmp_path, capsys, argv, refused,
     err = capsys.readouterr().err
     assert all(flag in err for flag in refused)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--K", "3", "european"],
+    ["price", "--levels", "1.1:1.3:3", "barrier"],
+], ids=["K-before-european", "levels-before-barrier"])
+def test_a_flag_before_the_instrument_names_the_order(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the instrument comes right after 'price'" in err
+    assert "invalid choice" not in err
+
+
+@pytest.mark.parametrize("argv", [["price", "--help"],
+                                  ["price", "european", "--help"]],
+                         ids=["price", "price-european"])
+def test_price_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: rmquant price" in capsys.readouterr().out
 
 
 def test_config_key_of_the_other_model_is_refused(tmp_path, capsys):

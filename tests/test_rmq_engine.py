@@ -697,8 +697,21 @@ def test_live_quantizer_refuses_steps_outside_the_run(gbm, k):
 
 def test_tied_codewords_are_refused(gbm):
     # a spread below one ulp of s0 puts every codeword at s0
-    with pytest.raises(RmqError, match="step 1: codewords are not strictly "
+    with pytest.raises(RmqError, match="step 1: codewords must be strictly "
                                        "increasing"):
         rmq_run(gbm, "euler", 100.0, Schedule(T=1e-300, K=2, n_per_step=5))
     seq = rmq_run(gbm, "euler", 100.0, Schedule(T=1e-20, K=2, n_per_step=5))
     assert all(np.all(np.diff(cw) > 0.0) for cw in seq.codewords)
+
+
+@pytest.mark.parametrize("T", [1e-29, 1e-30, 1e-31])
+def test_a_run_near_the_state_resolution_fails_or_reloads(gbm, T):
+    # around T = 1e-30 the step-1 codewords are adjacent floats of s0; a
+    # run either stops on such a grid or writes a dump that reloads
+    try:
+        seq = rmq_run(gbm, "euler", 100.0, Schedule(T=T, K=2, n_per_step=5))
+    except RmqError:
+        return
+    loaded = load_sequence_json(io.StringIO(json.dumps(seq.to_json_dict())))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(loaded.codewords, seq.codewords))

@@ -12,7 +12,7 @@ from rmquant import (GbmParams, Ncx2Params, ScalarDistribution, distortion,
                      newton_quantize, reflect_funcs, region_boundaries,
                      std_normal_funcs)
 from rmquant import vq1d
-from rmquant._newton import _admissible
+from rmquant._newton import grid_fault
 from rmquant.vq1d import Quantizer
 
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -244,19 +244,35 @@ class TestNewtonQuantize:
         assert q.probabilities == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
 
 
+# adjacent floats: strictly increasing, but both midpoints round to 1.0
+COLLAPSED = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+
+
 class TestAdmissible:
+    """The one grid rule, :func:`grid_fault`, and the checks that apply it."""
+
     @pytest.mark.parametrize("trial, lo, hi", [
-        ([0.1, np.nan, 0.3], None, None), ([0.1, np.inf], None, None),
-        ([0.1, 0.2], 0.1, None), ([0.05, 0.2], 0.1, None),
-        ([0.1, 0.2], None, 0.2), ([0.1, 0.3], None, 0.2),
-        ([0.2, 0.2], None, None)],
-        ids=["nan", "inf", "at-lo", "below-lo", "at-hi", "above-hi", "tied"])
+        ([0.1, np.nan, 0.3], -np.inf, np.inf),
+        ([0.1, np.inf], -np.inf, np.inf),
+        ([0.1, 0.2], 0.1, np.inf), ([0.05, 0.2], 0.1, np.inf),
+        ([0.1, 0.2], -np.inf, 0.2), ([0.1, 0.3], -np.inf, 0.2),
+        ([0.2, 0.2], -np.inf, np.inf), (COLLAPSED, -np.inf, np.inf)],
+        ids=["nan", "inf", "at-lo", "below-lo", "at-hi", "above-hi", "tied",
+             "collapsed"])
     def test_refused(self, trial, lo, hi):
-        assert not _admissible(np.array(trial), lo, hi)
+        assert grid_fault(np.array(trial), lo, hi) is not None
 
     def test_accepted_inside_open_bounds(self):
-        assert _admissible(np.array([0.1, 0.2]), 0.0, 0.3)
-        assert _admissible(np.array([-1e9, 1e9]), None, None)
+        assert grid_fault(np.array([0.1, 0.2]), 0.0, 0.3) is None
+        assert grid_fault(np.array([-1e9, 1e9])) is None
+
+    def test_every_grid_check_refuses_collapsed_regions(self):
+        named = "region boundaries collapse"
+        assert named in grid_fault(np.array(COLLAPSED))
+        with pytest.raises(ValueError, match=named):
+            region_boundaries(COLLAPSED)
+        with pytest.raises(ValueError, match=named):
+            Quantizer(np.array(COLLAPSED), np.full(3, 1.0 / 3.0))
 
 
 class TestInitialGuess:
@@ -295,8 +311,8 @@ class TestQuantizerType:
             Quantizer(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
 
     @pytest.mark.parametrize("codewords, probabilities, named", [
-        ([90.0, np.nan, 110.0], [0.3, 0.3, 0.4], "codewords must be finite"),
-        ([1.0, 2.0, np.inf], [0.3, 0.3, 0.4], "codewords must be finite"),
+        ([90.0, np.nan, 110.0], [0.3, 0.3, 0.4], "codewords must be a finite"),
+        ([1.0, 2.0, np.inf], [0.3, 0.3, 0.4], "codewords must be a finite"),
         ([90.0, 100.0, 110.0], [np.nan, 0.3, 0.4], "probabilities must lie"),
     ], ids=["nan-codeword", "inf-codeword", "nan-probability"])
     def test_refuses_non_finite_input(self, codewords, probabilities, named):
