@@ -274,7 +274,15 @@ def _schedule(ns, K: int) -> Schedule:
 
 
 def _open_out(ns):
-    return open(ns.out, "w") if ns.out else nullcontext(sys.stdout)
+    """The output stream; a ``--out`` that cannot be opened is a usage
+    error.  Opened only when the results are written, so a refused run
+    leaves no file."""
+    if not ns.out:
+        return nullcontext(sys.stdout)
+    try:
+        return open(ns.out, "w")
+    except OSError as exc:
+        raise ValueError(f"--out {ns.out!r}: {exc.strerror or exc}") from None
 
 
 def _fmt(v) -> str:

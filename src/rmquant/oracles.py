@@ -61,6 +61,8 @@ class McConfig:
             raise ValueError("steps must be >= 1")
         if self.monitoring_stride < 1 or self.steps % self.monitoring_stride:
             raise ValueError("steps must be divisible by monitoring_stride")
+        if not 0 <= self.seed < 2 ** 128:   # the Philox key's range
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

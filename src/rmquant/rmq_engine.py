@@ -41,7 +41,9 @@ from .vq1d import Quantizer, checked_grid, initial_guess
 FREE = "free"
 ABSORBING = "absorbing"
 REFLECTING = "reflecting"
-BOUNDARY_MODES = (FREE, ABSORBING, REFLECTING)
+# each boundary mode's lower end of the state, the Newton grids' open bound
+STATE_LOWER_END = {FREE: -np.inf, ABSORBING: 0.0, REFLECTING: 0.0}
+BOUNDARY_MODES = tuple(STATE_LOWER_END)
 
 MARKOV_TOL = 1e-10  # loaded probabilities may differ from the replay by this
 _BLOCK_CELLS = 65536  # law cells per row block of a Newton evaluation
@@ -127,8 +129,7 @@ def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str):
 
 
 def _next_edges(next_codewords: np.ndarray, boundary: str) -> np.ndarray:
-    return voronoi_edges(next_codewords,
-                         -np.inf if boundary == FREE else 0.0, np.inf)
+    return voronoi_edges(next_codewords, STATE_LOWER_END[boundary], np.inf)
 
 
 def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
@@ -299,23 +300,6 @@ class QuantizationSequence:
             for j in range(cw.size):
                 fh.write(f"{k},{t:.17g},{j},{cw[j]:.17g},{pr[j]:.17g}\n")
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "QuantizationSequence":
-        """Rebuild the run that ``doc`` describes and replay its recursion
-        on the stored grids, which recomputes every transition matrix.
-
-        Each step's codewords must equal the replayed ones and its
-        probabilities match the replayed chain within ``MARKOV_TOL``; the
-        first step that fails stops the replay.  Any failure raises a
-        ValueError that names the step or field.  Returns the replayed
-        sequence, bit-identical to the run on the build that wrote ``doc``.
-        """
-        try:
-            return _replay(doc)
-        except (AttributeError, LookupError, TypeError, ValueError,
-                RmqError) as exc:
-            raise ValueError(f"inconsistent sequence: {exc}") from exc
-
 
 def _require_fields(doc: dict, *names: str):
     """Raise ValueError if ``doc`` lacks any of the fields ``names``."""
@@ -339,32 +323,30 @@ def _replay(doc: dict) -> QuantizationSequence:
     if not isinstance(doc["steps"], list) or not doc["steps"]:
         raise ValueError("steps must be a non-empty list")
     try:
-        # the stored grids stand in for Newton, so the budgets go unused
         sched = Schedule(T=doc["horizon"], K=len(doc["steps"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"horizon: {exc}") from None
-    live = slice(1 if boundary == ABSORBING else 0, None)
-    support = (-np.inf if boundary == FREE else 0.0, np.inf)
-    stored = []   # each step's codewords, probabilities and live grid
+    absorbing = boundary == ABSORBING
+    support = (STATE_LOWER_END[boundary], np.inf)
+    grids, probs = [], []   # each step's live grid and stored probabilities
     for k, s in enumerate(doc["steps"], start=1):
         try:
             _require_fields(s, "codewords", "probabilities")
             cw = np.asarray(s["codewords"], dtype=float)
-            stored.append((cw, np.asarray(s["probabilities"], dtype=float),
-                           checked_grid(cw[live], support)))
+            grids.append(checked_grid(cw[1:] if absorbing else cw, support))
+            if absorbing and cw[0] != 0.0:
+                raise ValueError("the zero state's codeword must be 0")
+            probs.append(np.asarray(s["probabilities"], dtype=float))
         except (LookupError, TypeError, ValueError) as exc:
             raise ValueError(f"step {k}: {exc}") from None
+    # the stored grids stand in for Newton: a zero budget only evaluates them
     chain = _chain(model, doc["scheme"], doc["s0"], sched, boundary,
-                   lambda k, batch, prev_cw, evaluate:
-                   (stored[k - 1][2], evaluate(stored[k - 1][2])))
+                   lambda k, batch, prev_cw: (grids[k - 1], 0))
 
     def checked():
         # each step is compared as it is replayed, so a bad one stops the
         # replay before any later step is computed
-        for k, ((cw, p, _), step) in enumerate(zip(stored, chain), start=1):
-            if not np.array_equal(cw, step[0]):
-                raise ValueError(f"step {k}: codewords differ from the "
-                                 f"replayed grid")
+        for k, (p, step) in enumerate(zip(probs, chain), start=1):
             if p.shape != step[1].shape:
                 raise ValueError(f"step {k}: {p.size} probabilities for "
                                  f"{step[1].size} codewords")
@@ -379,7 +361,23 @@ def _replay(doc: dict) -> QuantizationSequence:
 
 
 def load_sequence_json(fh: IO[str]) -> QuantizationSequence:
-    return QuantizationSequence.from_json_dict(json.load(fh))
+    """Rebuild the run that the JSON document in ``fh`` describes and
+    replay its recursion on the stored grids, which recomputes every
+    transition matrix.
+
+    Each stored grid must pass the grid rule, an absorbing zero state must
+    stay at codeword 0, and each step's probabilities must match the
+    replayed chain within ``MARKOV_TOL``; the first step that fails stops
+    the replay.  Any failure raises a ValueError that names the step or
+    field.  Returns the replayed sequence, bit-identical to the run on the
+    build that wrote the document.
+    """
+    doc = json.load(fh)
+    try:
+        return _replay(doc)
+    except (AttributeError, LookupError, TypeError, ValueError,
+            RmqError) as exc:
+        raise ValueError(f"inconsistent sequence: {exc}") from exc
 
 
 def _step1_guess(batch: UpdateBatch, n: int, boundary: str) -> np.ndarray:
@@ -413,15 +411,15 @@ def _check_domain(gam: np.ndarray, model: SdeModel, step: int):
 
 
 def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
-           boundary: str, pick):
+           boundary: str, start):
     """The steps of a run, as :func:`rmq_steps` yields them; the arguments
     are checked at once, each step computed as it is drawn.
 
-    ``pick(k, batch, prev_cw, evaluate)`` chooses step k's grid and returns
-    it with ``evaluate`` at that grid, where ``batch`` holds the affine
-    updates out of ``prev_cw`` and ``evaluate`` is the mixture evaluator of
-    :func:`_mixture_evaluator`.  The transition matrix is that of the
-    returned evaluation.
+    ``start(k, batch, prev_cw)`` returns step k's starting grid and its
+    Newton budget, where ``batch`` holds the affine updates out of
+    ``prev_cw``.  :func:`damped_newton` refines the grid on the step's
+    mixture (:func:`_mixture_evaluator`), and the transition matrix is
+    that of its final evaluation; a budget of 0 keeps the starting grid.
     """
     _validate_boundary(boundary)
     if scheme not in SCHEME_BUILDERS:
@@ -440,8 +438,10 @@ def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         for k in range(1, sched.K + 1):
             batch = build(model, prev_cw, sched.dt)
             _require_positive_scale(batch, boundary)
-            gam, ev = pick(k, batch, prev_cw,
-                           _mixture_evaluator(prev_p, batch, boundary))
+            guess, budget = start(k, batch, prev_cw)
+            evaluate = _mixture_evaluator(prev_p, batch, boundary)
+            gam, ev = damped_newton(guess, evaluate, budget,
+                                    lo=STATE_LOWER_END[boundary])
             _check_domain(gam, model, k)
             blocks = ev.aux[0]
             P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -483,15 +483,13 @@ def rmq_steps(model: SdeModel, scheme: str, s0: float, sched: Schedule,
     with the schedule's VQ iteration budget; every later step starts from
     the previous grid and spends the smaller recursive budget.
     """
-    newton_lo = -np.inf if boundary == FREE else 0.0
-
-    def newton(k, batch, prev_cw, evaluate):
+    def start(k, batch, prev_cw):
         if k == 1:
             guess = _step1_guess(batch, sched.n_per_step, boundary)
-            return damped_newton(guess, evaluate, sched.n_max_vq, lo=newton_lo)
-        return damped_newton(prev_cw, evaluate, sched.n_max_rmq, lo=newton_lo)
+            return guess, sched.n_max_vq
+        return prev_cw, sched.n_max_rmq
 
-    return _chain(model, scheme, s0, sched, boundary, newton)
+    return _chain(model, scheme, s0, sched, boundary, start)
 
 
 def rmq_run(model: SdeModel, scheme: str, s0: float, sched: Schedule,

@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 from rmquant import (GbmParams, VanillaPayoff, european_price,
                      gbm_exact_marginal, load_sequence_json)
-from rmquant import cli
+from rmquant import cli, oracles
 from rmquant.cli import main
 
 
@@ -522,16 +522,50 @@ def no_computation(monkeypatch):
     (["price", "european", "--model", "cev", "--seed", "1", "--mc-steps", "0"],
      "steps must be >= 1"),
     (["price", "barrier", "--seed", "1", "--mc-steps", "1201"], "divisible by K"),
+    (["price", "european", "--model", "cev", "--seed", "-1"],
+     "seed must lie in [0, 2**128), got -1"),
+    (["price", "barrier", "--seed", "-1"],
+     "seed must lie in [0, 2**128), got -1"),
 ], ids=["strike-nan", "strike-inf", "r-nan", "r-inf", "sigma-inf",
         "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
         "fd-smax-mult-inf", "barrier-mc-paths-0", "barrier-mc-steps-0",
-        "cev-european-mc-steps-0", "barrier-mc-steps-indivisible"])
+        "cev-european-mc-steps-0", "barrier-mc-steps-indivisible",
+        "cev-european-seed-negative", "barrier-seed-negative"])
 def test_invalid_numbers_are_usage_errors(capsys, no_computation, argv, named):
     small = [] if argv[0] == "vq" else SMALL_GRID
     assert main([*argv, *small]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+def test_dist_error_refuses_a_bad_seed_before_simulating(capsys, monkeypatch):
+    # its reference draws inside empirical_cdf, past no_computation's reach
+    def simulate(*args, **kwargs):
+        pytest.fail("the seed should be refused before any path is drawn")
+
+    monkeypatch.setattr(oracles, "simulate_terminal", simulate)
+    monkeypatch.setattr(cli, "rmq_run", simulate)
+    assert main(["dist-error", "--model", "cev", "--seed", "-5",
+                 *SMALL_GRID]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed must lie in [0, 2**128), got -5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["vq", "--dist", "normal", "--n", "5"], ["rmq", *SMALL_GRID]],
+    ids=["vq", "rmq"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv,
+                                                       where):
+    out_path = (tmp_path if where == "directory"
+                else tmp_path / "missing" / "x.csv")
+    assert main([*argv, "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rmquant: --out ") and str(out_path) in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []   # nothing created
 
 
 # The last --K wins, so a bad one follows SMALL_GRID.

@@ -185,6 +185,14 @@ class TestMcPrice:
             with pytest.raises(ValueError, match="s_max_mult"):
                 FdConfig(64, 100, s_max_mult=mult)
 
+    def test_seed_is_a_philox_key(self):
+        # refused at once, not when the first paths are drawn
+        for seed in (0, 2 ** 128 - 1):
+            assert McConfig(paths=10, steps=10, seed=seed).seed == seed
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, "):
+                McConfig(paths=10, steps=10, seed=seed)
+
 
 def cn_reference(model, s0, T, r, payoff, exercise_dates, cfg):
     """The Crank-Nicolson solve with one solve_banded call per time step."""

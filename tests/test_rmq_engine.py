@@ -533,7 +533,7 @@ class TestLoadedSequenceChecks:
         (_nan_codeword, "step 2: codewords must be a finite, nonempty"),
         (_drop_step_probabilities, "step 3: missing field 'probabilities'"),
         (_move_codeword, "step 3: probabilities differ from the replayed chain"),
-        (_move_zero_state, "step 2: codewords differ from the replayed grid"),
+        (_move_zero_state, "step 2: the zero state's codeword must be 0"),
         (_scale_mass, "step 1: probabilities differ from the replayed chain"),
         (_drop_last_probability, "step 6: 59 probabilities for 60 codewords"),
         (_negative_horizon, "horizon: T must be positive and finite"),
