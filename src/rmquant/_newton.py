@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 GRAD_TOL = 1e-12        # early exit: below Phi-evaluation accuracy
 DIAG_FLOOR = 1e-12      # keeps the banded solve nonsingular for empty regions
@@ -81,15 +82,21 @@ def step_eval(gam, mass, loc_moment, scale_moment, edge_density,
 
 
 def solve_tridiag(diag, off, rhs):
-    """Solve the symmetric tridiagonal system H x = rhs."""
+    """Solve the symmetric tridiagonal system H x = rhs.
+
+    One LAPACK ``dgtsv`` call, the routine ``scipy.linalg.solve_banded``
+    runs for a (1, 1) band, with its two errors: ValueError for a
+    non-finite band or right-hand side, LinAlgError for a singular H.
+    """
     n = diag.shape[0]
     if n == 1:
         return rhs / diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
+    if not all(np.isfinite(a).all() for a in (diag, off, rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(off, diag, off, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def damped_newton(gamma0: np.ndarray,

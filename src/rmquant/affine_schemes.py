@@ -115,11 +115,29 @@ class UpdateBatch:
         ``z`` has one row per state; ``xbar`` (if any) is one reflection
         point per row.  The reflected m1 omits per-row constants, which
         cancel in the differences consumed by the quantization engine.
+
+        The fold adds each law's value at y = 2 xbar - z.  When every row
+        is ncx2, that second evaluation is exactly 0 wherever y <= 0, off
+        the support, so it is made only on the span of columns from the
+        first to the last where some row has y > 0 (a prefix when z
+        increases along its rows) and folded into them in the order of
+        :func:`reflect_fFM`, which keeps every value bit for bit.
         """
         if xbar is None:
             return self._base_fFM(z)
-        return reflect_fFM(self._base_fFM, z,
-                           np.asarray(xbar, dtype=float)[:, None])
+        xbar = np.asarray(xbar, dtype=float)[:, None]
+        if not np.all(self.is_ncx2):
+            return reflect_fFM(self._base_fFM, z, xbar)
+        lam = self.lam[:, None]
+        f, F, M1 = ncx2_fFM(z, lam)
+        y = 2.0 * xbar - z
+        live = np.flatnonzero((y > 0.0).any(axis=0))
+        cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
+        f2, F2, M2 = ncx2_fFM(y[:, cols], lam)   # a view of any layout
+        f[:, cols] += f2
+        F[:, cols] -= F2
+        M1[:, cols] = (M1[:, cols] + M2) - 2.0 * xbar * F2
+        return f, F, M1
 
 
 def euler_updates(model: SdeModel, x, dt: float) -> UpdateBatch:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import deque
 from contextlib import nullcontext
@@ -273,10 +274,23 @@ def _schedule(ns, K: int) -> Schedule:
                     n_max_vq=ns.iters_vq, n_max_rmq=ns.iters_rmq)
 
 
+def _check_out(path: Optional[str]):
+    """Refuse, before anything is computed, an ``--out`` that could not be
+    opened for writing: its directory must exist and the path must not be
+    a directory.  Nothing is created; :func:`_open_out` opens the file."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path!r}: no directory {parent!r}")
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r}: is a directory")
+
+
 def _open_out(ns):
     """The output stream; a ``--out`` that cannot be opened is a usage
     error.  Opened only when the results are written, so a refused run
-    leaves no file."""
+    leaves no file (:func:`_check_out` refuses most bad paths first)."""
     if not ns.out:
         return nullcontext(sys.stdout)
     try:
@@ -528,6 +542,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if unknown:
                 raise ValueError("config error: unknown config key " + ", ".join(
                     tok.lstrip("-").split("=", 1)[0] for tok in unknown))
+        _check_out(ns.out)
         return ns.func(ns)
     except (RmqError, CoefficientDomainError) as exc:
         print(f"rmquant: {exc}", file=sys.stderr)

@@ -81,25 +81,32 @@ def ncx2_fFM(x, lam):
     where x- > -LOBE_CUT, a sliver near x = 0 that is empty once
     sqrt(lam) >= LOBE_CUT; elsewhere it is taken as 0.  Every term is
     evaluated in the order written above, so the cells of the sliver
-    match these formulas bit for bit.
+    match these formulas bit for bit.  Off the support (x <= 0, +inf and
+    NaN) x+ is -inf, which makes phi(x+), Phi(x+) and so all three parts
+    exactly 0 there with no further pass.
+
+    ``x`` may have any memory layout: it is made C-contiguous once
+    broadcast, so that the sliver's flat indices address every buffer
+    derived from it.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     shape = np.broadcast_shapes(x.shape, lam.shape)
-    x = np.broadcast_to(x, shape or (1,))   # a 0-d x is one cell
+    x = np.ascontiguousarray(np.broadcast_to(x, shape or (1,)))  # 0-d: 1 cell
     live = x > 0.0
     live &= x < np.inf
     # Cells off the support get sqrt(x) = LOBE_CUT, which keeps them out
-    # of the sliver; their values are zeroed below.
+    # of the sliver, and x+ = -inf.
     xs = np.where(live, x, LOBE_CUT * LOBE_CUT)
     np.sqrt(xs, out=xs)
     sl = np.sqrt(lam)
-    xp = xs - sl
+    xp = np.where(live, xs, -np.inf)
+    xp -= sl
     xm = np.subtract(-sl, xs)               # -xs - sl, bit for bit
     F = ndtr(xp)
     pp = _phi(xp, np.empty_like(xp))
     # The second lobe on its sliver, by flat index.  ravel() is a view
-    # here: every buffer above is new and C-contiguous.
+    # here: every buffer above is new and C-contiguous, like x.
     sliver = np.flatnonzero(xm > -LOBE_CUT)
     xm_l = xm.ravel()[sliver]
     pm = _phi(xm_l, np.empty_like(xm_l))
@@ -111,9 +118,6 @@ def ncx2_fFM(x, lam):
     f = np.divide(pp, np.multiply(xs, 2.0, out=xs), out=pp)
     M1.ravel()[sliver] -= pm_xp
     f.ravel()[sliver] = f_l
-    f *= live
-    F *= live
-    M1 *= live
     top = x == np.inf
     F[top] = 1.0
     M1[top] = np.broadcast_to(1.0 + lam, x.shape)[top]

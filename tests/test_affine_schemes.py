@@ -7,8 +7,11 @@ from scipy import stats
 from scipy.integrate import quad
 
 from rmquant import SdeModel, euler_update, milstein_update, weak2_update
+from rmquant.distributions import reflect_fFM
 from rmquant.affine_schemes import (GAUSSIAN, NCX2, UpdateBatch,
                                     milstein_updates)
+
+from rmquant.rmq_engine import REFLECTING, _normalized_edges
 
 from conftest import GBM
 
@@ -246,3 +249,62 @@ class TestLawKernel:
                                 epsabs=1e-13, epsrel=1e-11, limit=200)[0]
                            for lo, hi in zip(cuts[:-1], cuts[1:]))
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def assert_fold_matches_reflect_fFM(batch, x):
+    """law_fFM's fold at the state points x equals reflect_fFM's, bit for
+    bit; returns the number of columns where some mirrored argument lies
+    on the ncx2 support."""
+    z, xbar = _normalized_edges(batch, np.asarray(x, dtype=float), REFLECTING)
+    got = batch.law_fFM(z, xbar)
+    want = reflect_fFM(batch._base_fFM, z, xbar[:, None])
+    for g, w in zip(got, want):
+        assert g.shape == z.shape
+        assert np.array_equal(g, w)
+    return int(np.count_nonzero((2.0 * xbar[:, None] - z > 0.0).any(axis=0)))
+
+
+REFLECT_LAMS = (0.0, 0.5, 4.0, 90.0, 150.0)
+STATE_POINTS = st.one_of(st.floats(-30.0, 30.0),
+                         st.sampled_from([-np.inf, np.inf, 0.0, 1e-300]))
+
+
+@st.composite
+def reflecting_rows(draw):
+    """A batch of 1-5 rows, ncx2 only or mixed with Gaussian rows, and
+    state points in sorted or any order."""
+    n = draw(st.integers(1, 5))
+
+    def per_row(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    m = per_row(st.floats(1e-3, 10.0))
+    c = per_row(st.floats(-20.0, 20.0))
+    lam = per_row(st.sampled_from(REFLECT_LAMS))
+    is_ncx2 = np.array(per_row(st.booleans()) if draw(st.booleans())
+                       else [True] * n)
+    x = draw(st.lists(STATE_POINTS, min_size=1, max_size=16))
+    if draw(st.booleans()):
+        x.sort()
+    batch = UpdateBatch(m, c, np.where(is_ncx2, lam, 0.0), is_ncx2, ~is_ncx2)
+    return batch, np.array(x)
+
+
+class TestRestrictedFold:
+    """The reflecting ncx2 fold evaluates the mirrored law only on columns
+    where it can be nonzero, with reflect_fFM's values bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reflecting_rows())
+    def test_equals_reflect_fFM(self, case):
+        assert_fold_matches_reflect_fFM(*case)
+
+    @pytest.mark.parametrize("c, x, live", [
+        ([1.0, 2.0], [0.0, 1e-300, 1.0, np.inf], 0),    # xbar < 0: no column
+        ([-5.0, -6.0], [0.0, 1e-300, 1.0, 4.0], 4),     # every column
+        ([-5.0, 3.0], [4.0, 0.0, 20.0, 1.0, np.inf], 3),  # unsorted
+    ], ids=["none-live", "all-live", "unsorted"])
+    def test_live_columns(self, c, x, live):
+        batch = UpdateBatch([1.0, 2.0], c, [0.5, 90.0], [True, True],
+                            [False, False])
+        assert assert_fold_matches_reflect_fFM(batch, x) == live

@@ -553,19 +553,27 @@ def test_dist_error_refuses_a_bad_seed_before_simulating(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["vq", "--dist", "normal", "--n", "5"], ["rmq", *SMALL_GRID]],
-    ids=["vq", "rmq"])
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_an_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv,
+    ["vq", "--dist", "normal", "--n", "5"], ["rmq", *SMALL_GRID],
+    ["price", "european", *SMALL_GRID]],
+    ids=["vq", "rmq", "price"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory",
+                                   "file-as-directory"])
+def test_an_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys,
+                                                       no_computation, argv,
                                                        where):
-    out_path = (tmp_path if where == "directory"
-                else tmp_path / "missing" / "x.csv")
+    # refused before the run: no_computation fails a quantization
+    out_path = {"directory": tmp_path,
+                "missing-directory": tmp_path / "missing" / "x.csv",
+                "file-as-directory": tmp_path / "f" / "x.csv"}[where]
+    if where == "file-as-directory":
+        (tmp_path / "f").write_text("")
     assert main([*argv, "--out", str(out_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("rmquant: --out ") and str(out_path) in err
     assert err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []   # nothing created
+    made = [] if where != "file-as-directory" else [tmp_path / "f"]
+    assert list(tmp_path.iterdir()) == made   # nothing created
 
 
 # The last --K wins, so a bad one follows SMALL_GRID.

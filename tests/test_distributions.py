@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -158,6 +159,33 @@ class TestLobeCut:
                 assert g.shape == w.shape == np.broadcast_shapes(
                     np.shape(x), np.shape(lam))
                 np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-21)
+
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed",
+                                        "fancy-indexed", "strided"])
+    def test_any_memory_layout_gives_the_c_order_bits(self, layout):
+        # the sliver is addressed by flat index, so a kernel that kept a
+        # non-C layout lost its second-lobe corrections (at lam = 0.5,
+        # a Fortran-ordered cdf read 0.3144 at x = 0.05 for 0.1384)
+        lam = np.array([[0.0], [0.5], [4.0], [81.0], [150.0]])
+        x = np.sort(np.concatenate([cut_points(0.5), [0.05]]))
+        x = np.broadcast_to(x, (lam.size, x.size)).copy()
+        x[::2] = x[::2] * 1.7
+        view = {"fortran": lambda: np.asfortranarray(x),
+                "transposed": lambda: np.ascontiguousarray(x.T).T,
+                "fancy-indexed": lambda: x[:, np.arange(x.shape[1])[::-1]],
+                "strided": lambda: x[:, ::2]}[layout]()
+        assert not view.flags.c_contiguous
+        got = ncx2_fFM(view, lam)
+        want = ncx2_fFM(np.ascontiguousarray(view), lam)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        live = (view > 0.0) & np.isfinite(view)
+        law = stats.ncx2(df=1, nc=np.broadcast_to(lam, view.shape)[live])
+        np.testing.assert_allclose(got[1][live], law.cdf(view[live]),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got[0][live], law.pdf(view[live]),
+                                   rtol=1e-10, atol=1e-14)
 
 
 class TestReflection:

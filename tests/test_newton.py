@@ -1,9 +1,12 @@
-"""The safeguards of the damped Newton loop, on synthetic evaluators."""
+"""The safeguards of the damped Newton loop, on synthetic evaluators, and
+its tridiagonal solve."""
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
-from rmquant._newton import MAX_HALVINGS, StepEval, damped_newton
+from rmquant._newton import (MAX_HALVINGS, StepEval, damped_newton,
+                             solve_tridiag)
 
 GAMMA0 = np.array([0.0, 1.0, 2.0])
 TARGET = GAMMA0 + 0.5   # the stationary grid: gradient gam - TARGET
@@ -68,3 +71,40 @@ def test_stops_on_the_current_grid_when_the_centroids_are_no_grid(centroids):
     assert len(seen) == 1 + (MAX_HALVINGS + 1)
     assert gam is start and np.array_equal(start, GAMMA0)
     assert ev is seen[0][1]
+
+
+def banded_solve(diag, off, rhs):
+    """The reference: scipy's banded solver on the (1, 1) band."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+def test_tridiagonal_solve_equals_solve_banded(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        off = rng.normal(size=n - 1)
+        diag = rng.uniform(0.1, 3.0, n) + np.abs(np.pad(off, (0, 1)))
+        diag += np.abs(np.pad(off, (1, 0)))
+        rhs = rng.normal(size=n)
+        got = solve_tridiag(diag, off, rhs)
+        assert got.tobytes() == banded_solve(diag, off, rhs).tobytes()
+
+
+def test_tridiagonal_solve_refuses_a_singular_system():
+    # the first two rows are equal
+    diag, off = np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0])
+    with pytest.raises(LinAlgError, match="singular"):
+        solve_tridiag(diag, off, np.ones(3))
+
+
+@pytest.mark.parametrize("where", ["diag", "off", "rhs"])
+def test_tridiagonal_solve_refuses_a_non_finite_system(where):
+    parts = {"diag": np.full(4, 2.0), "off": np.full(3, 0.5),
+             "rhs": np.ones(4)}
+    parts[where][1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_tridiag(parts["diag"], parts["off"], parts["rhs"])
