@@ -93,21 +93,17 @@ class UpdateBatch:
         return UpdateBatch(self.m[sl], self.c[sl], self.lam[sl],
                            self.is_ncx2[sl], self.fallback[sl])
 
-    def _rowwise(self, gauss, ncx2):
-        """Tuple from ``gauss()`` or ``ncx2(lam)``, picked by each row's law."""
+    def _base_fFM(self, z):
+        """(pdf, cdf, m1) of each row's innovation at the matrix z."""
+        z = np.asarray(z, dtype=float)
         if not np.any(self.is_ncx2):
-            return gauss()
-        nc = ncx2(self.lam[:, None])
+            return norm_fFM(z)
+        nc = ncx2_fFM(z, self.lam[:, None])
         if np.all(self.is_ncx2):
             return nc
         # Mixed rows (euler fallback inside a higher-order step).
         mask = self.is_ncx2[:, None]
-        return tuple(np.where(mask, a, b) for a, b in zip(nc, gauss()))
-
-    def _base_fFM(self, z):
-        """(pdf, cdf, m1) of each row's innovation at the matrix z."""
-        z = np.asarray(z, dtype=float)
-        return self._rowwise(lambda: norm_fFM(z), lambda lam: ncx2_fFM(z, lam))
+        return tuple(np.where(mask, a, b) for a, b in zip(nc, norm_fFM(z)))
 
     def law_fFM(self, z, xbar=None):
         """Innovation (pdf, cdf, m1) at z; reflected about xbar if given.
@@ -116,28 +112,16 @@ class UpdateBatch:
         point per row.  The reflected m1 omits per-row constants, which
         cancel in the differences consumed by the quantization engine.
 
-        The fold adds each law's value at y = 2 xbar - z.  When every row
-        is ncx2, that second evaluation is exactly 0 wherever y <= 0, off
-        the support, so it is made only on the span of columns from the
-        first to the last where some row has y > 0 (a prefix when z
-        increases along its rows) and folded into them in the order of
-        :func:`reflect_fFM`, which keeps every value bit for bit.
+        Every law takes the one fold, :func:`reflect_fFM`.  An ncx2 row is
+        0 below 0, so the mirrored law is evaluated only on the columns from
+        the first to the last where some row has 2 xbar - z >= 0; a batch
+        with a Gaussian row, which is 0 nowhere, folds every column.
         """
         if xbar is None:
             return self._base_fFM(z)
-        xbar = np.asarray(xbar, dtype=float)[:, None]
-        if not np.all(self.is_ncx2):
-            return reflect_fFM(self._base_fFM, z, xbar)
-        lam = self.lam[:, None]
-        f, F, M1 = ncx2_fFM(z, lam)
-        y = 2.0 * xbar - z
-        live = np.flatnonzero((y > 0.0).any(axis=0))
-        cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
-        f2, F2, M2 = ncx2_fFM(y[:, cols], lam)   # a view of any layout
-        f[:, cols] += f2
-        F[:, cols] -= F2
-        M1[:, cols] = (M1[:, cols] + M2) - 2.0 * xbar * F2
-        return f, F, M1
+        lo = np.where(self.is_ncx2, 0.0, -np.inf)[:, None]
+        return reflect_fFM(self._base_fFM, z,
+                           np.asarray(xbar, dtype=float)[:, None], lo)
 
 
 def euler_updates(model: SdeModel, x, dt: float) -> UpdateBatch:

@@ -38,8 +38,8 @@ from .oracles import (FdConfig, McConfig, black_scholes, cn_bermudan,
                       empirical_cdf, mc_estimate, simulate_terminal)
 from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
                       bermudan_price, european_price)
-from .rmq_engine import (RmqError, Schedule, implied_marginal_cdf, rmq_run,
-                         rmq_steps)
+from .rmq_engine import (BOUNDARY_MODES, FREE, RmqError, Schedule,
+                         implied_marginal_cdf, rmq_run, rmq_steps)
 from .sde_models import (CevParams, CoefficientDomainError, GbmParams,
                          cev_model, gbm_exact_marginal, gbm_model)
 from .vq1d import Quantizer, distortion_gradient, initial_guess, newton_quantize
@@ -114,8 +114,7 @@ def _run_args(sp, default_n=200, with_k=True):
     sp.add_argument("--N", type=int, default=default_n)
     sp.add_argument("--iters-vq", type=int, default=50, dest="iters_vq")
     sp.add_argument("--iters-rmq", type=int, default=5, dest="iters_rmq")
-    sp.add_argument("--boundary", choices=("free", "absorbing", "reflecting"),
-                    default="free")
+    sp.add_argument("--boundary", choices=BOUNDARY_MODES, default=FREE)
 
 
 def _mc_args(sp):
@@ -394,7 +393,7 @@ def cmd_price(ns) -> int:
         mc_cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
                           monitoring_stride=stride)
     seq = rmq_run(model, ns.scheme, params.s0, sched, ns.boundary)
-    mc_boundary = ns.boundary if ns.model == "cev" else "free"
+    mc_boundary = ns.boundary if ns.model == "cev" else FREE
     if mc_ref:
         mc = simulate_terminal(model, params.s0, ns.T, mc_cfg, mc_boundary,
                                want_running_max=barrier)

@@ -11,8 +11,8 @@ regions span the support, so the squared error is E[X^2] less terms in the
 differences of F and M1 (see ``vq1d``).  Two laws are supported in closed
 form: the standard normal and the noncentral chi-squared with one degree
 of freedom, which can be written entirely in terms of the normal pdf/cdf.
-A reflection transform folds mass below a boundary back onto the support,
-again in closed form.
+One reflection fold serves every law: it folds mass below a boundary back
+onto the support, skipping where the mirrored ncx2 argument is below 0.
 
 All kernels are vectorized over numpy arrays, accept +/-inf arguments and
 return the exact limit values there (no NaNs leak out of limit cases).
@@ -124,20 +124,36 @@ def ncx2_fFM(x, lam):
     return f.reshape(shape), F.reshape(shape), M1.reshape(shape)
 
 
-def reflect_fFM(law, x, xbar):
+def reflect_fFM(law, x, xbar, lo=-np.inf):
     """Fold the (f, F, M1) triple that ``law`` maps ``x`` to about ``xbar``:
 
         f~(x)  = f(x) + f(2 xbar - x)
         F~(x)  = F(x) - F(2 xbar - x)
         M1~(x) = M1(x) + M1(2 xbar - x) - 2 xbar F(2 xbar - x)
 
-    ``xbar`` broadcasts against ``x``.  M1~ drops per-law constants, which
-    cancel in the differences of M1 that quantization consumes.
+    It is the one fold, for every law.  ``xbar`` and ``lo`` broadcast
+    against ``x``; ``law`` is exactly 0 below ``lo`` (0 for ncx2; -inf for
+    a Gaussian or a folded law), so the mirrored law is evaluated only on
+    the last-axis columns from the first to the last where some
+    2 xbar - x >= lo.  The fold is built in place in the fresh arrays
+    ``law`` returns, with the whole-array fold's bits.  M1~ drops per-law
+    constants, which cancel in the differences quantization consumes.
     """
     x = np.asarray(x, dtype=float)
-    f1, F1, M1 = law(x)
-    f2, F2, M2 = law(2.0 * xbar - x)
-    return f1 + f2, F1 - F2, M1 + M2 - 2.0 * xbar * F2
+    out = tuple(np.asarray(a) for a in law(x))
+    xb2 = 2.0 * xbar
+    y = np.atleast_1d(xb2 - x)
+    live = np.flatnonzero(np.any(y >= lo, axis=tuple(range(y.ndim - 1))))
+    cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
+    f2, F2, M2 = law(y[..., cols])
+    f, F, M1 = (np.atleast_1d(a)[..., cols] for a in out)   # views of out
+    f += f2
+    F -= F2
+    # (M1 + M2) - 2 xbar F2 in M2's buffer; + and * commute bit for bit.
+    M2 += M1
+    M2 -= np.multiply(F2, np.broadcast_to(xb2, y.shape)[..., cols], out=F2)
+    M1[...] = M2
+    return tuple(a[()] for a in out)
 
 
 @dataclass(frozen=True)
@@ -201,11 +217,11 @@ def ncx2_1_funcs(params: Ncx2Params) -> ScalarDistribution:
 def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
     """Fold the mass of ``base`` below ``xbar`` back onto [xbar, inf).
 
-    ``base.fFM`` goes straight to :func:`reflect_fFM`.  Inputs below xbar
-    are clamped to xbar, so differences across the boundary vanish; the
-    density is 0 there.  The fold adds 4 xbar E[(xbar - X) 1{X < xbar}] to
-    the second moment, read from differences across [support low, xbar],
-    in which constants dropped from ``base``'s M1 (a folded law's) cancel.
+    ``base.fFM`` goes to :func:`reflect_fFM` with no ``lo`` (a folded base's
+    M1 is not 0 below its support), on inputs clamped to xbar: differences
+    across the boundary vanish and the density is 0 below xbar.  The fold
+    adds 4 xbar E[(xbar - X) 1{X < xbar}] to the second moment, read from
+    differences across [support low, xbar], in which M1's constants cancel.
     """
     hi = base.support[1]
     if not -np.inf < xbar < hi:

@@ -7,7 +7,6 @@ from scipy import stats
 from scipy.integrate import quad
 
 from rmquant import SdeModel, euler_update, milstein_update, weak2_update
-from rmquant.distributions import reflect_fFM
 from rmquant.affine_schemes import (GAUSSIAN, NCX2, UpdateBatch,
                                     milstein_updates)
 
@@ -251,13 +250,20 @@ class TestLawKernel:
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+def whole_matrix_fold(law, z, xbar):
+    """The fold evaluated on every cell, with no span cut."""
+    f1, F1, M1 = law(z)
+    f2, F2, M2 = law(2.0 * xbar - z)
+    return f1 + f2, F1 - F2, M1 + M2 - 2.0 * xbar * F2
+
+
 def assert_fold_matches_reflect_fFM(batch, x):
-    """law_fFM's fold at the state points x equals reflect_fFM's, bit for
-    bit; returns the number of columns where some mirrored argument lies
-    on the ncx2 support."""
+    """law_fFM's fold at the state points x equals the whole-matrix fold,
+    bit for bit; returns the number of columns where some mirrored
+    argument lies on the ncx2 support."""
     z, xbar = _normalized_edges(batch, np.asarray(x, dtype=float), REFLECTING)
     got = batch.law_fFM(z, xbar)
-    want = reflect_fFM(batch._base_fFM, z, xbar[:, None])
+    want = whole_matrix_fold(batch._base_fFM, z, xbar[:, None])
     for g, w in zip(got, want):
         assert g.shape == z.shape
         assert np.array_equal(g, w)
@@ -271,8 +277,8 @@ STATE_POINTS = st.one_of(st.floats(-30.0, 30.0),
 
 @st.composite
 def reflecting_rows(draw):
-    """A batch of 1-5 rows, ncx2 only or mixed with Gaussian rows, and
-    state points in sorted or any order."""
+    """A batch of 1-5 rows, ncx2 only, Gaussian only or mixed, and state
+    points in sorted or any order."""
     n = draw(st.integers(1, 5))
 
     def per_row(values):
@@ -281,8 +287,9 @@ def reflecting_rows(draw):
     m = per_row(st.floats(1e-3, 10.0))
     c = per_row(st.floats(-20.0, 20.0))
     lam = per_row(st.sampled_from(REFLECT_LAMS))
-    is_ncx2 = np.array(per_row(st.booleans()) if draw(st.booleans())
-                       else [True] * n)
+    rows = draw(st.sampled_from([NCX2, GAUSSIAN, "mixed"]))
+    is_ncx2 = np.array(per_row(st.booleans()) if rows == "mixed"
+                       else [rows == NCX2] * n)
     x = draw(st.lists(STATE_POINTS, min_size=1, max_size=16))
     if draw(st.booleans()):
         x.sort()
@@ -291,8 +298,9 @@ def reflecting_rows(draw):
 
 
 class TestRestrictedFold:
-    """The reflecting ncx2 fold evaluates the mirrored law only on columns
-    where it can be nonzero, with reflect_fFM's values bit for bit."""
+    """The reflecting fold evaluates the mirrored law only on columns
+    where it can be nonzero, with the whole-matrix fold's values bit for
+    bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(reflecting_rows())

@@ -238,6 +238,18 @@ class TestReflection:
                       for a, b in ((lo, lo + 1.5), (lo + 1.5, np.inf)))
             assert refl.second_moment == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("base", [std_normal_funcs(),
+                                      ncx2_1_funcs(Ncx2Params(lam=2.0))],
+                             ids=["normal", "ncx2"])
+    def test_fFM_keeps_0d_and_2d_shapes(self, base):
+        refl = reflect_funcs(base, 0.6)
+        assert all(np.shape(part) == () for part in refl.fFM(1.0))
+        grid = np.array([[0.0, 0.6, 1.0], [2.0, 5.0, np.inf]])
+        cellwise = [refl.fFM(v) for v in grid.ravel()]
+        for k, part in enumerate(refl.fFM(grid)):
+            assert part.shape == grid.shape
+            assert np.array_equal(part.ravel(), [c[k] for c in cellwise])
+
     def test_second_moment_needs_the_base_one(self):
         bare = ScalarDistribution(fFM=std_normal_funcs().fFM)
         assert reflect_funcs(bare, 0.3).second_moment is None
