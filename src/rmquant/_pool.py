@@ -1,14 +1,14 @@
 """Order-preserving map over a lazily created, process-wide thread pool.
 
-The two hot kernels, the row blocks of a Newton evaluation in
+The two hot kernels, the column blocks of a Newton evaluation in
 ``rmq_engine`` and the Monte Carlo paths of ``oracles``, split into
 pieces whose results do not depend on the order in which they run; numpy
 and scipy release the interpreter lock inside those pieces, so threads
 use every core.  The pool has one thread per core this process may run
 on (``os.sched_getaffinity``, or ``os.cpu_count`` on platforms without
-it); one core means a plain serial loop.  A forked child does not
-inherit the parent's threads, so the pool is created again when the
-process id changes.
+it); one core, or a single piece, means a plain loop in the calling
+thread.  A forked child does not inherit the parent's threads, so the
+pool is created again when the process id changes.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ def workers() -> int:
 
 
 def pmap(fn, items) -> list:
-    """``[fn(x) for x in items]``, the calls spread over the pool."""
-    n = workers()
+    """``[fn(x) for x in items]``, spread over the pool from two items."""
+    items = list(items)
+    n = workers() if len(items) > 1 else 1
     if n == 1:
         return [fn(x) for x in items]
     global _pool

@@ -88,11 +88,6 @@ class UpdateBatch:
     def size(self) -> int:
         return self.m.shape[0]
 
-    def rows(self, sl: slice) -> "UpdateBatch":
-        """The updates of the rows ``sl``, as views of these arrays."""
-        return UpdateBatch(self.m[sl], self.c[sl], self.lam[sl],
-                           self.is_ncx2[sl], self.fallback[sl])
-
     def _base_fFM(self, z):
         """(pdf, cdf, m1) of each row's innovation at the matrix z."""
         z = np.asarray(z, dtype=float)

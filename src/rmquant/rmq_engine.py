@@ -46,7 +46,7 @@ STATE_LOWER_END = {FREE: -np.inf, ABSORBING: 0.0, REFLECTING: 0.0}
 BOUNDARY_MODES = tuple(STATE_LOWER_END)
 
 MARKOV_TOL = 1e-10  # loaded probabilities may differ from the replay by this
-_BLOCK_CELLS = 65536  # law cells per row block of a Newton evaluation
+_BLOCK_CELLS = 65536  # law cells per column block of a Newton evaluation
 
 # model kinds a sequence dump can rebuild: (parameter type, constructor)
 MODELS = {"gbm": (GbmParams, gbm_model), "cev": (CevParams, cev_model)}
@@ -117,8 +117,10 @@ def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
     return z, xbar
 
 
-def _assemble(batch: UpdateBatch, edges: np.ndarray, boundary: str):
-    """(P, M, f) of the rows of ``batch``, with f at every edge."""
+def _z_matrices(batch: UpdateBatch, edges: np.ndarray, boundary: str):
+    """(P, M, f) of every row of ``batch`` on the regions between
+    consecutive ``edges``: transition probabilities and first-partial-moment
+    increments, one column per region, and the densities at every edge."""
     fz, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
     P = np.subtract(F[:, 1:], F[:, :-1])
     if not np.all(batch.m > 0.0):
@@ -132,31 +134,28 @@ def _next_edges(next_codewords: np.ndarray, boundary: str) -> np.ndarray:
     return voronoi_edges(next_codewords, STATE_LOWER_END[boundary], np.inf)
 
 
-def _z_matrices(batch: UpdateBatch, next_codewords: np.ndarray,
-                boundary: str):
-    """(P, M, f) on one candidate next grid, in one whole-matrix pass:
-    transition probabilities and first-partial-moment increments,
-    N_k x N_next, and the densities at the inner boundaries,
-    N_k x (N_next - 1).
-
-    The mixture evaluator calls it for grids of one row block; larger
-    grids never hold the whole M and f (see ``_mixture_evaluator``).
-    """
-    P, M, f = _assemble(batch, _next_edges(next_codewords, boundary), boundary)
-    return P, M, f[:, 1:-1]
+def _column_blocks(rows: int, regions: int):
+    """(start, end) columns of the blocks of about ``_BLOCK_CELLS`` law
+    cells.  Each starts on a multiple of 8 columns and the last has at least
+    8, so BLAS matrix-vector kernels sum every column as in one whole-matrix
+    product (on OpenBLAS a block of 1-3 columns gets other bits)."""
+    blocks = -(-rows * (regions + 1) // _BLOCK_CELLS)
+    width = -(-regions // (8 * blocks)) * 8
+    cuts = [*range(0, max(regions - 7, 1), width), regions]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     """Closure computing gradient/Hessian/centroids of the mixture distortion.
 
     Its four mixture sums are ``pw @ P``, ``p_c @ P``, ``p_m @ M`` and
-    ``p_f @ f``.  Every row of P, M and f depends on its own update alone,
-    so a large grid is evaluated in row blocks of about ``_BLOCK_CELLS``
-    cells spread over the thread pool.  Each block returns its P rows and
-    its four partial sums, which are added in block order; M and f never
-    exist whole.  The split depends on the grid size alone, so results are
-    the same at any thread count.  The evaluation's ``aux`` starts with
-    the list of its P row blocks.
+    ``p_f @ f``.  An evaluation splits the next grid's regions into the
+    column blocks of :func:`_column_blocks`, over all rows, spread over the
+    thread pool.  Each block returns its columns of P and of the four sums;
+    M and f never exist whole.  Cells are elementwise and each column's
+    sum runs over all rows as in one whole-matrix product, so the bits do
+    not depend on the split or the thread count.  The evaluation's ``aux``
+    starts with the list of its P column blocks.
     """
     pw, absm = prev_p, np.abs(batch.m)
     p_c = pw * batch.c
@@ -164,25 +163,24 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     p_f = pw / absm
 
     def evaluate(gam: np.ndarray):
-        n, rows = batch.size, -(-_BLOCK_CELLS // (gam.size + 1))
-        if n <= rows:
-            # One block: a whole-matrix pass into fresh arrays.  aux keeps
-            # M and f alive with P: freed at once, their pages go back to
-            # the OS and every evaluation faults them in again (N=200: +25%).
-            P, M, f = _z_matrices(batch, gam, boundary)
-            return step_eval(gam, pw @ P, p_c @ P, p_m @ M, p_f @ f,
-                             aux=([P], M, f))
         edges = _next_edges(gam, boundary)
 
-        def block(lo):
-            sl = slice(lo, lo + rows)
-            P, M, f = _assemble(batch.rows(sl), edges, boundary)
-            return P, (pw[sl] @ P, p_c[sl] @ P, p_m[sl] @ M,
-                       p_f[sl] @ f[:, 1:-1])
+        def block(cut):
+            a, b = cut
+            P, M, f = _z_matrices(batch, edges[a:b + 1], boundary)
+            # the densities at the inner edges: all but the block's first,
+            # and the last block drops the +inf edge
+            f = f[:, 1:gam.size - a]
+            # aux keeps a lone block's M and f alive: freed, their pages go
+            # back to the OS and each evaluation faults them in again (N=200:
+            # +30-70%).  With more blocks they add 3 MB to the peak (N=1000).
+            return (P, (pw @ P, p_c @ P, p_m @ M, p_f @ f),
+                    (M, f) if cut == (0, gam.size) else None)
 
-        blocks, sums = zip(*_pool.pmap(block, range(0, n, rows)))
-        # each of the four sums adds its blocks' parts in block order
-        return step_eval(gam, *map(sum, zip(*sums)), aux=(list(blocks),))
+        blocks = _column_blocks(batch.size, gam.size)
+        P, sums, kept = zip(*_pool.pmap(block, blocks))
+        return step_eval(gam, *map(np.concatenate, zip(*sums)),
+                         aux=(list(P), kept[0]))
 
     return evaluate
 
@@ -443,8 +441,8 @@ def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
             gam, ev = damped_newton(guess, evaluate, budget,
                                     lo=STATE_LOWER_END[boundary])
             _check_domain(gam, model, k)
-            blocks = ev.aux[0]
-            P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            blocks = ev.aux[0]   # a copy of a lone block faults in new pages
+            P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, 1)
             del ev, blocks   # else held while the next step runs
             p = prev_p @ P
             if boundary == ABSORBING:

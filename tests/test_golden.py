@@ -8,7 +8,8 @@ iterations), the grid of ncx2(lambda=4) reflected about 0.3 (N=50, 50
 iterations), and the (f, F, M1) of ``gbm_exact_marginal`` and the
 (F, M1) of a seeded ``empirical_cdf`` on a fixed set of points.  One
 larger run, GBM weak2 on a free boundary at K=4, N=1000, pins the
-row-block evaluation of grids too large for one block.  The
+evaluation of grids of many column blocks, which gives the bits of one
+whole-matrix pass.  The
 stored ``gbm_exact_marginal`` array has a fourth row, E[S^2 1{S < x}],
 which the law no longer computes and the test does not read.
 Transition matrices are not stored; the probabilities pin them through
@@ -36,13 +37,6 @@ from rmquant.vq1d import initial_guess
 DATA = Path(__file__).with_name("data") / "golden.npz"
 RTOL = 1e-13   # codewords and prices, relative
 ATOL = 1e-13   # probabilities, absolute
-# The row-block run adds its blocks' partial sums, an order that no single
-# matrix product follows.  Its arrays were made with whole-matrix products,
-# from which the block sums move its codewords by up to 1.5e-11 relative
-# and its probabilities by 1.2e-13; at K=16 the moves reached 2.1e-11 and
-# 2.9e-13.
-BLOCK_RTOL = 1e-10
-BLOCK_ATOL = 1e-12
 
 GBM = GbmParams(s0=100.0, r=0.05, sigma=0.3)
 CEV_LOW_ALPHA = CevParams(s0=0.5, r=0.05, alpha=0.35, sigma_ln=0.5)
@@ -166,10 +160,10 @@ def test_row_block_sequence_matches_golden(golden):
     for k in range(seq.n_steps):
         np.testing.assert_allclose(seq.codewords[k],
                                    golden[f"{BLOCK_CASE}/codewords/{k}"],
-                                   rtol=BLOCK_RTOL, atol=0.0)
+                                   rtol=RTOL, atol=0.0)
         np.testing.assert_allclose(seq.probabilities[k],
                                    golden[f"{BLOCK_CASE}/probabilities/{k}"],
-                                   rtol=0.0, atol=BLOCK_ATOL)
+                                   rtol=0.0, atol=ATOL)
 
 
 @pytest.mark.parametrize("family,lam", VQ_CASES, ids=("normal", "ncx2"))

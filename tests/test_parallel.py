@@ -1,25 +1,29 @@
 """The threaded kernels give the same bits at any worker count.
 
-The mixture evaluator of ``rmq_engine`` folds a large grid's Newton
-evaluation into row blocks on the pool of ``rmquant._pool``, and
-``simulate_terminal`` runs its path chunks there; both must match a
-serial run exactly, and a forked child must not wait on threads it did
-not inherit.
+The mixture evaluator of ``rmq_engine`` splits a Newton evaluation into
+column blocks on the pool of ``rmquant._pool``, and ``simulate_terminal``
+runs its path chunks there; both must match a serial run exactly, the
+evaluator must give one whole-matrix pass's bits at any block split, and
+a forked child must not wait on threads it did not inherit.
 """
 
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from rmquant import McConfig, _pool, cev_model, oracles, rmq_engine
+from rmquant import (McConfig, Schedule, _pool, cev_model, oracles,
+                     rmq_engine, rmq_run)
 from rmquant._newton import step_eval
 from rmquant.affine_schemes import UpdateBatch
 
 from conftest import CEV_LOW_ALPHA
 
 BOUNDARIES = ("free", "absorbing", "reflecting")
+# law cells per block: many blocks, the default's few, and one block
+BLOCK_CELLS = (5000, rmq_engine._BLOCK_CELLS, 10**9)
 
 
 def mixed_batch(rows, rng):
@@ -47,50 +51,127 @@ def evaluation(batch, gam, boundary):
     """One mixture evaluation at ``gam``, with its joined P."""
     ev = rmq_engine._mixture_evaluator(prev_probabilities(batch.size), batch,
                                        boundary)(gam)
-    return ev, np.concatenate(ev.aux[0])
+    return ev, np.concatenate(ev.aux[0], axis=1)
+
+
+def blocked_evaluations(monkeypatch, batch, gam, boundary):
+    """{(cells, workers): (evaluation, joined P, block count)} over
+    ``BLOCK_CELLS`` and 1 or 2 workers."""
+    out = {}
+    for cells in BLOCK_CELLS:
+        monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", cells)
+        for n in (1, 2):
+            ev, P = with_workers(monkeypatch, n, evaluation, batch, gam,
+                                 boundary)
+            out[cells, n] = ev, P, len(ev.aux[0])
+    return out
+
+
+def grid(rng, n_next, boundary):
+    gam = np.sort(rng.uniform(0.01, 30.0, n_next))
+    return gam - 5.0 if boundary == "free" else gam
 
 
 EVAL_FIELDS = ("grad", "hess_diag", "hess_off", "centroids")
 
 
+def assert_same_evaluation(a, b):
+    (ev1, P1), (ev2, P2) = a, b
+    for name in EVAL_FIELDS:
+        assert np.array_equal(getattr(ev1, name), getattr(ev2, name)), name
+    assert np.array_equal(P1, P2)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_block_assembly_is_bit_identical(monkeypatch, boundary):
     rng = np.random.default_rng(11)
-    n_next = 1000
-    rows = 150          # blocks of 66 rows at N = 1000: 66 + 66 + 18
-    assert rows > 2 * -(-rmq_engine._BLOCK_CELLS // (n_next + 1))
-    batch = mixed_batch(rows, rng)
-    gam = np.sort(rng.uniform(0.01, 30.0, n_next))
-    if boundary == "free":
-        gam -= 5.0
-    (ev1, P1), (ev2, P2) = (with_workers(monkeypatch, n, evaluation, batch,
-                                         gam, boundary) for n in (1, 2))
-    assert len(ev1.aux[0]) == 3
-    for name in EVAL_FIELDS:
-        assert np.array_equal(getattr(ev1, name), getattr(ev2, name))
-    assert np.array_equal(P1, P2)
-    # every cell of a block gets the bits of one whole-matrix pass
-    whole, _, _ = rmq_engine._z_matrices(batch, gam, boundary)
-    assert np.array_equal(P1, whole)
-    assert np.all(P1 >= 0.0) and P1.sum(axis=1).max() <= 1.0 + 1e-12
+    batch = mixed_batch(150, rng)
+    # N mod 8 = 1: in 40-column blocks a last block of one column joins
+    # the one before it
+    gam = grid(rng, 1001, boundary)
+    runs = blocked_evaluations(monkeypatch, batch, gam, boundary)
+    assert [runs[c, 1][2] for c in BLOCK_CELLS] == [25, 3, 1]
+    first = runs[BLOCK_CELLS[0], 1][:2]
+    for ev, P, _ in runs.values():
+        assert_same_evaluation((ev, P), first)
+    P = first[1]
+    assert P.shape == (150, 1001)
+    assert np.all(P >= 0.0) and P.sum(axis=1).max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_one_block_evaluation_is_the_whole_matrix_pass(boundary):
+def test_one_block_evaluation_is_the_whole_matrix_pass(monkeypatch, boundary):
     rng = np.random.default_rng(12)
-    n_next = 200
     rows = 120
-    assert rows <= -(-rmq_engine._BLOCK_CELLS // (n_next + 1))
     batch = mixed_batch(rows, rng)
-    gam = np.sort(rng.uniform(0.01, 30.0, n_next))
-    ev, P = evaluation(batch, gam, boundary)
+    gam = grid(rng, 203, boundary)
     pw, absm = prev_probabilities(rows), np.abs(batch.m)
-    Pz, M, f = rmq_engine._z_matrices(batch, gam, boundary)
-    want = step_eval(gam, pw @ Pz, (pw * batch.c) @ Pz, (pw * absm) @ M,
-                     (pw / absm) @ f)
-    for name in EVAL_FIELDS:
-        assert np.array_equal(getattr(ev, name), getattr(want, name))
-    assert np.array_equal(P, Pz)
+    P, M, f = rmq_engine._z_matrices(
+        batch, rmq_engine._next_edges(gam, boundary), boundary)
+    whole = step_eval(gam, pw @ P, (pw * batch.c) @ P, (pw * absm) @ M,
+                      (pw / absm) @ f[:, 1:-1]), P
+    runs = blocked_evaluations(monkeypatch, batch, gam, boundary)
+    assert [runs[c, 1][2] for c in BLOCK_CELLS] == [5, 1, 1]
+    for ev, P, _ in runs.values():
+        assert_same_evaluation((ev, P), whole)
+    # only a lone block's M and f stay alive with the evaluation
+    assert runs[BLOCK_CELLS[0], 1][0].aux[1] is None
+    M1, f1 = runs[BLOCK_CELLS[-1], 1][0].aux[1]
+    assert np.array_equal(M1, M) and np.array_equal(f1, f[:, 1:-1])
+
+
+@pytest.mark.parametrize("cells", (1,) + BLOCK_CELLS[:2])
+@pytest.mark.parametrize("n, n_next", [(1, 1000), (150, 5), (37, 203),
+                                       (150, 1001), (1025, 1025)])
+def test_aligned_column_slices_match_the_whole_product(monkeypatch, cells, n,
+                                                       n_next):
+    # The evaluator's column blocks give whole-matrix bits only if the BLAS
+    # matrix-vector kernel treats each column of a block as in the whole
+    # product; a BLAS that does not fails here by name.
+    rng = np.random.default_rng(n_next)
+    w = rng.uniform(0.0, 1.0, n)
+    P = rng.uniform(-1.0, 1.0, (n, n_next))        # one column per region
+    f = rng.uniform(-1.0, 1.0, (n, n_next + 1))    # one column per edge
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", cells)
+    cuts = rmq_engine._column_blocks(n, n_next)
+    assert cuts[0][0] == 0 and cuts[-1][1] == n_next
+    assert all(a % 8 == 0 for a, _ in cuts)
+    got = np.concatenate([w @ P[:, a:b].copy() for a, b in cuts])
+    assert np.array_equal(got, w @ P)
+    # the evaluator's f block: its edges a..b, of which it reads all but
+    # the first, and not the last block's final edge
+    got = np.concatenate([w @ f[:, a:b + 1].copy()[:, 1:n_next - a]
+                          for a, b in cuts])
+    assert np.array_equal(got, w @ f[:, 1:-1])
+
+
+def test_ill_conditioned_run_does_not_depend_on_the_block_split(
+        monkeypatch, cev_low_alpha):
+    # CEV alpha=0.35 weak2 reflecting at N=600 amplifies rounding: adding
+    # the mixture sums in another order moves its codewords by about 1e-5
+    # relative.
+    sched = Schedule(T=1.0, K=4, n_per_step=600)
+
+    def run():
+        return rmq_run(cev_low_alpha, "weak2", CEV_LOW_ALPHA.s0, sched,
+                       "reflecting")
+
+    blocked = run()
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", 10**9)
+    whole = run()
+    for name in ("codewords", "probabilities", "transitions"):
+        for a, b in zip(getattr(blocked, name), getattr(whole, name),
+                        strict=True):
+            assert np.array_equal(a, b), name
+
+
+def test_lone_item_runs_in_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(_pool, "workers", lambda: 2)
+    here = threading.current_thread()
+    assert _pool.pmap(lambda x: (x, threading.current_thread()), [7]) == \
+        [(7, here)]
+    assert here not in (t for _, t in _pool.pmap(
+        lambda x: (x, threading.current_thread()), range(2)))
 
 
 def test_monte_carlo_chunks_are_bit_identical(monkeypatch):
@@ -132,10 +213,11 @@ def forked_evaluation(batch, gam, conn):
 
 def test_forked_child_assembles_without_the_parents_threads(monkeypatch):
     monkeypatch.setattr(_pool, "workers", lambda: 2)
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", 30000)
     batch = mixed_batch(300, np.random.default_rng(3))
-    gam = np.linspace(-3.0, 40.0, 300)   # 301 edges: two row blocks
+    gam = np.linspace(-3.0, 40.0, 300)   # 301 edges: four column blocks
     ev, P = evaluation(batch, gam, "free")   # starts the pool
-    assert len(ev.aux[0]) == 2
+    assert len(ev.aux[0]) == 4
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=forked_evaluation, args=(batch, gam, send))
@@ -151,3 +233,6 @@ def test_forked_child_assembles_without_the_parents_threads(monkeypatch):
     assert not child.is_alive() and child.exitcode == 0
     for a, b in zip((ev.grad, P), got):
         assert np.array_equal(a, b)
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", 10**9)
+    whole, P1 = evaluation(batch, gam, "free")
+    assert np.array_equal(whole.grad, ev.grad) and np.array_equal(P1, P)

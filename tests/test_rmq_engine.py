@@ -14,7 +14,8 @@ from rmquant import (CodewordDomainError, Ncx2Params, RmqError, Schedule,
 from rmquant import rmq_engine
 from rmquant._newton import damped_newton
 from rmquant.affine_schemes import SCHEME_BUILDERS, euler_updates
-from rmquant.rmq_engine import _mixture_evaluator, _step1_guess, _z_matrices
+from rmquant.rmq_engine import (_mixture_evaluator, _next_edges, _step1_guess,
+                                _z_matrices)
 from rmquant.vq1d import (Quantizer, checked_grid, distortion,
                           distortion_gradient, distortion_hessian,
                           newton_quantize)
@@ -33,6 +34,11 @@ def batch(*rows):
                        lam=[r[2] if len(r) > 2 else 0.0 for r in rows],
                        is_ncx2=[len(r) > 2 for r in rows],
                        fallback=[False] * len(rows))
+
+
+def transitions(updates, gam, boundary):
+    """The transition matrix from ``updates`` to the grid ``gam``."""
+    return _z_matrices(updates, _next_edges(gam, boundary), boundary)[0]
 
 
 def affine_law(base, m, c):
@@ -109,25 +115,24 @@ class TestImpliedMarginalCdf:
 class TestTransitionSet:
     def test_single_region_captures_all_mass(self):
         _, updates, _ = small_mixture()
-        P, _, _ = _z_matrices(updates, np.array([1.5]), "free")
+        P = transitions(updates, np.array([1.5]), "free")
         assert P == pytest.approx(np.ones((3, 1)), abs=1e-12)
 
     def test_free_rows_sum_to_one(self):
         _, updates, gam = small_mixture()
-        P, _, _ = _z_matrices(updates, gam, "free")
+        P = transitions(updates, gam, "free")
         assert P.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-10)
         assert np.all(P >= 0.0)
 
     def test_absorbing_row_mass(self):
         # absorbed mass from a gaussian update with c = m = 1 is Phi(-1)
-        P, _, _ = _z_matrices(batch((1.0, 1.0)), np.array([0.5, 1.5]),
-                              "absorbing")
+        P = transitions(batch((1.0, 1.0)), np.array([0.5, 1.5]), "absorbing")
         assert P.sum() == pytest.approx(1.0 - ndtr(-1.0), abs=1e-12)
         assert P.sum() == pytest.approx(0.8413447460685429, abs=1e-10)
 
     def test_reflecting_rows_sum_to_one(self):
         ups = batch((0.8, 0.4), (0.3, 1.1, 5.0))
-        P, _, _ = _z_matrices(ups, np.array([0.3, 0.9, 2.0]), "reflecting")
+        P = transitions(ups, np.array([0.3, 0.9, 2.0]), "reflecting")
         assert P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-10)
 
     def test_errors(self):
@@ -272,7 +277,7 @@ class TestRmqRunGbm:
         prev = Quantizer(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         ups = batch((0.7, 1.1), (-0.6, 2.2))
         gam = np.array([0.6, 1.4, 2.3])
-        P, _, _ = _z_matrices(ups, gam, "free")
+        P = transitions(ups, gam, "free")
         assert P.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
         out, _ = damped_newton(
             gam, _mixture_evaluator(prev.probabilities, ups, "free"), 1)
@@ -593,7 +598,7 @@ def test_reload_recomputes_the_paper_chain(gbm, cev_low_alpha, model, scheme,
     assert loaded.params == seq.params
 
 
-STREAM_RUNS = {   # (model, scheme, schedule, boundary); N=300 is two row blocks
+STREAM_RUNS = {   # (model, scheme, schedule, boundary); N=300: two column blocks
     "free": ("gbm", "weak2", Schedule(T=1.0, K=4, n_per_step=300), "free"),
     "absorbing": ("cev", "euler", Schedule(T=1.0, K=4, n_per_step=40),
                   "absorbing"),
