@@ -9,8 +9,11 @@ their numerical machinery (only the normal cdf is common):
   behaviour at zero for models that need it.
 * A Crank-Nicolson finite-difference solver for Bermudan (and European)
   claims under a local-volatility model.  Its implicit operator is
-  factored once per solve (LAPACK ``dgttrf``) and back-substituted at
-  each time step (``dgttrs``).
+  factored once per solve (LAPACK ``dgttrf``).  Each time step builds
+  the right-hand side in place, on views made before the march, and
+  back-substitutes it (``dgttrs``).  The payoff is checked for infs and
+  NaNs at every node before the march, and the grid before each exercise
+  and after the last step, not at every step.
 
 Random stream discipline: path ``p`` always consumes the same slots of a
 Philox counter stream keyed by the seed, so enlarging the path count
@@ -36,7 +39,7 @@ from scipy.special import ndtr, ndtri
 from . import _pool
 from .distributions import ScalarDistribution
 from .pricing import VanillaPayoff
-from .sde_models import SdeModel
+from .sde_models import SdeModel, integer_fields
 
 # Paths in flight at once: each of the pool's workers simulates a chunk of
 # _CHUNK_PATHS / workers paths.  A chunk's normals overwrite its uniforms,
@@ -55,6 +58,7 @@ class McConfig:
     monitoring_stride: int = 1
 
     def __post_init__(self):
+        integer_fields(self, "paths", "steps", "seed", "monitoring_stride")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.steps < 1:
@@ -74,8 +78,13 @@ class FdConfig:
     s_max_mult: float = 4.0
 
     def __post_init__(self):
-        if self.time_steps < 1 or self.space_steps < 3:
-            raise ValueError("grid sizes must be positive (>= 3 space steps)")
+        integer_fields(self, "time_steps", "space_steps")
+        if self.time_steps < 1:
+            raise ValueError(f"time_steps must be >= 1, got {self.time_steps}")
+        # scipy's dgttrf and dgttrs wrappers refuse a system of fewer than
+        # three unknowns, the interior nodes
+        if self.space_steps < 4:
+            raise ValueError(f"space_steps must be >= 4, got {self.space_steps}")
         if not 0.0 < self.s_max_mult < np.inf:
             raise ValueError(f"s_max_mult must be positive and finite, "
                              f"got {self.s_max_mult}")
@@ -258,29 +267,40 @@ def cn_bermudan(model: SdeModel, s0: float, T: float, r: float,
 
     # Factor the implicit operator once.  dgttrf and dgttrs are the factor
     # and solve halves of the dgtsv that solve_banded((1, 1), ...) runs, so
-    # every step's values are unchanged; its finiteness and singularity
-    # errors are kept, the bands checked here and each right-hand side below.
+    # every step's values are unchanged.  Its singularity error is kept, and
+    # its finiteness error: the bands are checked here, the payoff at every
+    # node before the march, and the grid before each exercise and after
+    # the last step.  A non-finite value that reaches a right-hand side
+    # stays non-finite through the sums, the products by finite factors and
+    # the divisions by checked pivots; only np.maximum could turn an -inf
+    # into the payoff's value.  The payoff's top node enters the grid only
+    # through an exercise and the next step overwrites it, so it is checked
+    # up front, whatever the exercise dates.
     *lu, info = dgttrf(*(np.asarray_chkfinite(x)
                          for x in (a_low[1:], a_mid, a_up[:-1])))
     if info > 0:
         raise LinAlgError("singular matrix")
 
-    intrinsic = v.copy()
+    # Each step works on views made here; v is only written in place.
+    intrinsic = np.asarray_chkfinite(v).copy()
+    inner, below, above = v[1:-1], v[1:-2], v[2:-1]
     rhs = np.empty(m - 1)
     term = np.empty(m - 1)
+    rhs_lo, term_lo, b_lo = rhs[1:], term[1:], b_low[1:]
+    rhs_hi, term_hi, b_hi = rhs[:-1], term[:-1], b_up[:-1]
     rhs0 = (b_low[0] - a_low[0]) * v0
     for n in range(1, cfg.time_steps + 1):
-        inner = v[1:-1]
         np.multiply(b_mid, inner, out=rhs)
-        np.multiply(b_low[1:], inner[:-1], out=term[1:])
-        rhs[1:] += term[1:]
-        np.multiply(b_up[:-1], inner[1:], out=term[:-1])
-        rhs[:-1] += term[:-1]
+        np.multiply(b_lo, below, out=term_lo)
+        rhs_lo += term_lo
+        np.multiply(b_hi, above, out=term_hi)
+        rhs_hi += term_hi
         rhs[0] += rhs0
-        np.asarray_chkfinite(rhs)
-        rhs, _ = dgttrs(*lu, rhs, overwrite_b=True)
-        v[1:-1] = rhs
-        v[-1] = 2.0 * rhs[-1] - rhs[-2]
+        x, _ = dgttrs(*lu, rhs, overwrite_b=True)   # x is rhs, overwritten
+        inner[...] = x
+        v[-1] = 2.0 * x[-1] - x[-2]
         if n in exercise_steps:
+            np.asarray_chkfinite(v)
             np.maximum(v, intrinsic, out=v)
+    np.asarray_chkfinite(v)
     return float(np.interp(s0, s, v))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 from dataclasses import dataclass
 from typing import IO, List, Optional
 
@@ -35,7 +34,8 @@ import numpy as np
 from . import _pool
 from ._newton import damped_newton, grid_fault, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
-from .sde_models import CevParams, GbmParams, SdeModel, cev_model, gbm_model
+from .sde_models import (CevParams, GbmParams, SdeModel, cev_model, gbm_model,
+                         integer_fields)
 from .vq1d import Quantizer, checked_grid, initial_guess
 
 FREE = "free"
@@ -79,15 +79,12 @@ class Schedule:
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
-        for name in ("K", "n_per_step", "n_max_vq", "n_max_rmq"):
+        names = ("K", "n_per_step", "n_max_vq", "n_max_rmq")
+        integer_fields(self, *names)
+        for name in names:
             value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
 
     @property
     def dt(self) -> float:

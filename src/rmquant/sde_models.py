@@ -14,6 +14,7 @@ local relative volatility at the initial spot equals sigma_ln.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -59,6 +60,19 @@ def _check_fields(params, positive):
             raise ValueError(f"{name} must be finite, got {value}")
         if name in positive and not value > 0.0:
             raise ValueError(f"{name} must be positive")
+
+
+def integer_fields(cfg, *names):
+    """Store each named field of the frozen dataclass ``cfg`` as a Python
+    int, or refuse it, naming it: a float size or seed would otherwise be
+    truncated or fail deep inside a run."""
+    for name in names:
+        value = getattr(cfg, name)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True)

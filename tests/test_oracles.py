@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -184,6 +186,22 @@ class TestMcPrice:
         for mult in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="s_max_mult"):
                 FdConfig(64, 100, s_max_mult=mult)
+        # a float size is refused at once, by name, not deep in the march
+        for name in ("paths", "steps", "monitoring_stride"):
+            sizes = dict(paths=10, steps=10, seed=1)
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                McConfig(**{**sizes, name: 10.0})
+        for sizes, name in (((600.0, 800), "time_steps"),
+                            ((600, 800.0), "space_steps")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                FdConfig(*sizes)
+        for sizes, name in (((0, 100), "time_steps must be >= 1"),
+                            ((64, 3), "space_steps must be >= 4")):
+            with pytest.raises(ValueError, match=name):
+                FdConfig(*sizes)
+        cfg = FdConfig(np.int64(600), np.int32(800))
+        assert (cfg.time_steps, cfg.space_steps) == (600, 800)
+        assert type(cfg.time_steps) is type(cfg.space_steps) is int
 
     def test_seed_is_a_philox_key(self):
         # refused at once, not when the first paths are drawn
@@ -192,6 +210,12 @@ class TestMcPrice:
         for seed in (-1, 2 ** 128):
             with pytest.raises(ValueError, match=r"seed must lie in \[0, "):
                 McConfig(paths=10, steps=10, seed=seed)
+        # 1.5 and 1.9 would run as seed 1
+        for seed in (1.5, 1.9, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                McConfig(paths=10, steps=10, seed=seed)
+        cfg = McConfig(paths=10, steps=10, seed=np.uint64(2 ** 64 - 1))
+        assert cfg.seed == 2 ** 64 - 1 and type(cfg.seed) is int
 
 
 def cn_reference(model, s0, T, r, payoff, exercise_dates, cfg):
@@ -281,17 +305,26 @@ class TestCrankNicolson:
             cn_bermudan(gbm, 100.0, 1.0, 0.05, VanillaPayoff("put", 100.0),
                         [-0.5], self.CFG)
 
-    @pytest.mark.parametrize("cfg", [CFG, FdConfig(50, 100, 4.0)])
-    @pytest.mark.parametrize("dates", ["european", "monthly"])
+    # FdConfig(50, 4): the smallest grid, three interior nodes
+    @pytest.mark.parametrize("cfg", [CFG, FdConfig(50, 100, 4.0),
+                                     FdConfig(50, 4, 4.0)])
+    @pytest.mark.parametrize("dates", ["european", "monthly", "edges"])
     @pytest.mark.parametrize("kind", ["put", "call"])
     @pytest.mark.parametrize("which", ["gbm", "cev_low_alpha"])
     def test_equals_per_step_solve_banded(self, request, which, kind,
                                           dates, cfg):
         model = request.getfixturevalue(which)
         s0 = CEV_LOW_ALPHA.s0 if which == "cev_low_alpha" else GBM.s0
+        n = cfg.time_steps
+        exercise = {"european": [], "monthly": self.MONTHLY,
+                    # the first and the last time step, and T (skipped)
+                    "edges": [1.0 - 1.0 / n, 0.25 / n, 1.0]}[dates]
         args = (model, s0, 1.0, 0.05, VanillaPayoff(kind, 1.1 * s0),
-                [] if dates == "european" else self.MONTHLY, cfg)
-        assert cn_bermudan(*args) == cn_reference(*args)
+                exercise, cfg)
+        with (pytest.warns(UserWarning, match="coarse")
+              if cfg.space_steps < 100 else contextlib.nullcontext()):
+            got = cn_bermudan(*args)
+        assert got == cn_reference(*args)
 
     def test_operator_factored_once_per_solve(self, gbm, monkeypatch):
         calls = []
@@ -317,6 +350,17 @@ class TestCrankNicolson:
                 pytest.raises(ValueError, match="infs or NaNs"):
             cn_bermudan(model, 100.0, 1.0, 0.05, unchecked_put(strike),
                         [], FdConfig(64, 100))
+
+    @pytest.mark.parametrize("dates", [[], [0.5], [0.25 / 64]],
+                             ids=["european", "mid", "last_step"])
+    def test_non_finite_payoff_at_the_top_node_raises(self, dates):
+        # the top node enters the grid only through an exercise, no
+        # right-hand side reads it, and the next step overwrites it: the
+        # error must not depend on the exercise dates
+        strike = np.where(np.arange(101) == 100, np.inf, 100.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cn_bermudan(linear_model(0.05, 30.0), 100.0, 1.0, 0.05,
+                        unchecked_put(strike), dates, FdConfig(64, 100))
 
     def test_zero_pivot_raises(self):
         # no drift or diffusion and r = -2 / dt: the implicit operator is 0
