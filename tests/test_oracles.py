@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.special import ndtri
 
 import rmquant.oracles
-from rmquant import (FdConfig, McConfig, SdeModel, VanillaPayoff,
+from rmquant import (FdConfig, McConfig, SdeModel, VanillaPayoff, _pool,
                      black_scholes, cn_bermudan, empirical_cdf,
-                     gbm_exact_marginal, gbm_model)
+                     gbm_exact_marginal)
 from rmquant.oracles import mc_estimate, path_normals, simulate_terminal
 
 from conftest import CEV_LOW_ALPHA, GBM
@@ -35,6 +36,37 @@ def unchecked_put(strike):
     payoff = VanillaPayoff("put", 0.0)
     object.__setattr__(payoff, "strike", strike)
     return payoff
+
+
+def plain_paths(model, s0, cfg, boundary, stepping):
+    """Terminal states and running maxima over T = 1 from a plain loop of
+    whole-array steps, the reference for ``simulate_terminal``."""
+    z = path_normals(cfg.seed, 0, cfg.paths, cfg.steps)
+    dt = 1.0 / cfg.steps
+    sq = np.sqrt(dt)
+    if stepping == "gbm_exact":
+        p = model.params
+        loc = (p.r - 0.5 * p.sigma ** 2) * dt
+        scale = p.sigma * sq
+    s = np.full(cfg.paths, s0)
+    want_max = s.copy()
+    dead = np.zeros(cfg.paths, dtype=bool)
+    for j in range(cfg.steps):
+        if stepping == "gbm_exact":
+            s = s * np.exp(loc + scale * z[:, j])
+        elif boundary == "absorbing":
+            s_eval = np.where(dead, 1.0, s)
+            step = model.a(s_eval) * dt + model.b(s_eval) * sq * z[:, j]
+            s_new = np.where(dead, 0.0, s + step)
+            dead = dead | (s_new <= 0.0)
+            s = np.where(dead, 0.0, s_new)
+        else:
+            s = s + (model.a(s) * dt + model.b(s) * sq * z[:, j])
+            if boundary == "reflecting":
+                s = np.abs(s)
+        if (j + 1) % cfg.monitoring_stride == 0:
+            want_max = np.maximum(want_max, s)
+    return s, want_max
 
 
 def mc_european(model, payoff, cfg, stepping="euler"):
@@ -89,12 +121,57 @@ class TestPathStreams:
         # no second paths x steps array: the normals live in the uniforms'
         assert z.base is not None and z.base.shape == (300, slots)
 
-    def test_chunking_invariance(self):
-        cfg_small = McConfig(paths=300, steps=8, seed=3)
-        one = simulate_terminal(gbm_model(GBM), 100.0, 1.0, cfg_small)
-        parts = [simulate_terminal(gbm_model(GBM), 100.0, 1.0,
-                                   McConfig(paths=300, steps=8, seed=3))]
-        assert np.array_equal(one, parts[0])
+    def test_chunking_invariance(self, monkeypatch, gbm, cev_low_alpha):
+        cfg = McConfig(paths=3001, steps=12, seed=3, monitoring_stride=3)
+        cases = ((gbm, 100.0, "free"),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing"),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"))
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "workers", lambda: workers)
+            for model, s0, boundary in cases:
+                # several chunks per worker with a ragged last one (3001
+                # paths in chunks of 512 / workers), then one of every path
+                runs = []
+                for chunk_paths in (512, 10 ** 6):
+                    monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS",
+                                        chunk_paths)
+                    runs.append(simulate_terminal(model, s0, 1.0, cfg,
+                                                  boundary,
+                                                  want_running_max=True))
+                (t1, m1), (t2, m2) = runs
+                assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
+                assert np.all(m1 >= s0)
+                if boundary == "absorbing":
+                    assert np.any(t1 == 0.0) and np.any(t1 > 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_normals_buffer_per_worker(self, monkeypatch, gbm, workers):
+        # Every chunk draws its normals into the buffer its worker holds for
+        # the call: over several chunks per worker the buffers stay those of
+        # the paths in flight, and memory peaks near one such array.
+        monkeypatch.setattr(_pool, "workers", lambda: workers)
+        chunk_paths = rmquant.oracles._CHUNK_PATHS
+        cfg = McConfig(paths=4 * chunk_paths + 1001, steps=200, seed=8)
+        fill = rmquant.oracles._fill_normals
+        buffers = []
+
+        def recording_fill(u, *args):
+            # kept alive, so a buffer per chunk would count and add up
+            buffers.append(u.base)
+            return fill(u, *args)
+
+        monkeypatch.setattr(rmquant.oracles, "_fill_normals", recording_fill)
+        tracemalloc.start()
+        try:
+            simulate_terminal(gbm, 100.0, 1.0, cfg, want_running_max=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(buffers) == -(-cfg.paths // (chunk_paths // workers))
+        assert len({id(b) for b in buffers}) == workers
+        normals = chunk_paths * cfg.steps * 8
+        outputs = 2 * cfg.paths * 8   # terminal states and running maxima
+        assert peak < 1.1 * normals + outputs
 
 
 class TestMcPrice:
@@ -162,21 +239,28 @@ class TestMcPrice:
         cfg = McConfig(paths=3001, steps=24, seed=13, monitoring_stride=4)
         term, smax = simulate_terminal(model, s0, 1.0, cfg, boundary,
                                        want_running_max=True)
-        z = path_normals(cfg.seed, 0, cfg.paths, cfg.steps)
-        dt = 1.0 / cfg.steps
-        s = np.full(cfg.paths, s0)
-        want_max = s.copy()
-        for j in range(cfg.steps):
-            step = model.a(s) * dt + model.b(s) * np.sqrt(dt) * z[:, j]
-            s = s + step
-            if boundary == "reflecting":
-                s = np.abs(s)
-            if (j + 1) % cfg.monitoring_stride == 0:
-                want_max = np.maximum(want_max, s)
+        s, want_max = plain_paths(model, s0, cfg, boundary, "euler")
         assert np.array_equal(term, s)
         assert np.array_equal(smax, want_max)
         if boundary == "reflecting":
             assert np.all(term > 0.0) and np.any(term < 0.1 * s0)
+
+    @pytest.mark.parametrize("case", ["cev-absorbing", "gbm-exact"])
+    def test_absorbed_and_exact_paths_follow_their_plain_loops(
+            self, gbm, cev_low_alpha, case):
+        model, s0, boundary, stepping = {
+            "cev-absorbing": (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing",
+                              "euler"),
+            "gbm-exact": (gbm, 100.0, "free", "gbm_exact"),
+        }[case]
+        cfg = McConfig(paths=3001, steps=24, seed=13, monitoring_stride=4)
+        term, smax = simulate_terminal(model, s0, 1.0, cfg, boundary,
+                                       stepping, want_running_max=True)
+        s, want_max = plain_paths(model, s0, cfg, boundary, stepping)
+        assert np.array_equal(term, s)
+        assert np.array_equal(smax, want_max)
+        if boundary == "absorbing":
+            assert np.any(term == 0.0) and np.any(term > 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
