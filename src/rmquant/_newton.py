@@ -69,7 +69,7 @@ def step_eval(gam, mass, loc_moment, scale_moment, edge_density,
     ``loc_moment``.
     """
     grad = 2.0 * (gam * mass - loc_moment - scale_moment)
-    off = -0.5 * edge_density * np.diff(gam)
+    off = -0.5 * edge_density * (gam[1:] - gam[:-1])
     diag = 2.0 * mass
     diag[:-1] += off
     diag[1:] += off

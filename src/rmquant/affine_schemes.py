@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ncx2_fFM, norm_fFM, reflect_fFM
+from .distributions import (Workspace, ncx2_into, norm_fFM, norm_into,
+                            reflect_fFM)
 from .sde_models import SdeModel
 
 GAUSSIAN = "gaussian"
@@ -88,35 +89,56 @@ class UpdateBatch:
     def size(self) -> int:
         return self.m.shape[0]
 
-    def _base_fFM(self, z):
-        """(pdf, cdf, m1) of each row's innovation at the matrix z."""
-        z = np.asarray(z, dtype=float)
-        if not np.any(self.is_ncx2):
-            return norm_fFM(z)
-        nc = ncx2_fFM(z, self.lam[:, None])
-        if np.all(self.is_ncx2):
-            return nc
-        # Mixed rows (euler fallback inside a higher-order step).
-        mask = self.is_ncx2[:, None]
-        return tuple(np.where(mask, a, b) for a, b in zip(nc, norm_fFM(z)))
+    def _law_into(self, z, out, ws, rows=slice(None)):
+        """The innovation triple of the rows ``rows`` at z, written to
+        ``out`` (see :func:`norm_into` for an M1 of None)."""
+        is_ncx2 = self.is_ncx2[rows]
+        if not is_ncx2.any():
+            return norm_into(z, out)
+        ncx2_into(z, self.lam[rows, None], out, ws)
+        if not is_ncx2.all():   # euler fallback rows in a higher-order step
+            gauss = np.flatnonzero(~is_ncx2)
+            for a, b in zip(out, norm_fFM(z[gauss])):
+                a[gauss] = b
+        return out
 
-    def law_fFM(self, z, xbar=None):
+    def law_fFM(self, z, xbar=None, ws=None, m1=True):
         """Innovation (pdf, cdf, m1) at z; reflected about xbar if given.
 
         ``z`` has one row per state; ``xbar`` (if any) is one reflection
         point per row.  The reflected m1 omits per-row constants, which
         cancel in the differences consumed by the quantization engine.
+        The triple is written to buffers of the :class:`Workspace` ``ws``,
+        or to fresh arrays; ``m1=False`` lets an unreflected batch of
+        normal rows return None for m1, which is minus the pdf.
 
         Every law takes the one fold, :func:`reflect_fFM`.  An ncx2 row is
-        0 below 0, so the mirrored law is evaluated only on the columns from
-        the first to the last where some row has 2 xbar - z >= 0; a batch
-        with a Gaussian row, which is 0 nowhere, folds every column.
+        0 below 0, so the mirrored law is evaluated only on the block of
+        rows and columns where some 2 xbar - z >= 0; a Gaussian row is 0
+        nowhere, so a batch with one folds every column.
         """
+        z = np.asarray(z, dtype=float)
+        ws = Workspace() if ws is None else ws
+        normal = not self.is_ncx2.any()
+        m1 = m1 or not normal
+        out = (ws.take("law.f", z.shape), ws.take("law.F", z.shape),
+               ws.take("law.M1", z.shape) if m1 else None)
+        self._law_into(z, out, ws)
         if xbar is None:
-            return self._base_fFM(z)
-        lo = np.where(self.is_ncx2, 0.0, -np.inf)[:, None]
-        return reflect_fFM(self._base_fFM, z,
-                           np.asarray(xbar, dtype=float)[:, None], lo)
+            return out
+
+        mws = ws.scope("mirrored")
+
+        def mirrored(y, rows):
+            return self._law_into(y, (mws.take("law.f", y.shape),
+                                      mws.take("law.F", y.shape),
+                                      mws.take("law.M1", y.shape) if m1
+                                      else None), mws, rows)
+
+        lo = (-np.inf if normal
+              else np.where(self.is_ncx2, 0.0, -np.inf)[:, None])
+        return reflect_fFM(mirrored, z, np.asarray(xbar, dtype=float)[:, None],
+                           lo, out, ws)
 
 
 def euler_updates(model: SdeModel, x, dt: float) -> UpdateBatch:

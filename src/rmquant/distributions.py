@@ -19,6 +19,14 @@ return the exact limit values there (no NaNs leak out of limit cases).
 Phi is evaluated through scipy's erfc-based ``ndtr``, accurate to close to
 machine precision over the whole real line.
 
+Each law has one implementation, :func:`norm_into` and :func:`ncx2_into`,
+and the fold one, :func:`reflect_fFM`.  They write into arrays the caller
+gives and take their temporaries from a :class:`Workspace`, which the
+quantization engine keeps in each thread for a step; ``norm_fFM`` and
+``ncx2_fFM`` call them with fresh arrays.  They use full passes and masked
+copies, never masked ufunc loops (half the speed here), and never
+``where=`` on a ``scipy.special`` ufunc (it has crashed ``ndtr``).
+
 The ncx2 (f, F, M1) kernel drops its second normal lobe, Phi(x-) and
 phi(x-) with x- = -sqrt(x) - sqrt(lam), wherever x- <= -LOBE_CUT = -10.
 What it drops is a tail of the law, so the absolute error is at most
@@ -28,6 +36,7 @@ phi(10) / (2 sqrt(x)) = 3.9e-23 / sqrt(x) in f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -39,8 +48,66 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # ncx2_fFM drops the second lobe where x- <= -LOBE_CUT (module docstring).
 LOBE_CUT = 10.0
 
+# ncx2_into's cap on sqrt(x): there Phi(x+) = 1 and phi(x+) = phi(x-) = 0
+# exactly, as at x = +inf, and (x+)^2 stays finite.
+_SQRT_CAP = 1e150
+
 # Real-line support, used as the default for the standard normal.
 REAL_LINE = (-np.inf, np.inf)
+
+
+class Workspace:
+    """Scratch arrays that one thread reuses from one kernel call to the next.
+
+    ``take(name, shape)`` returns a C-contiguous array of ``shape`` at the
+    start of the buffer ``name``, which grows when it is too small; it
+    overwrites what the last ``take`` of that name returned.  A new
+    Workspace hands out fresh arrays, which is how the allocating forms
+    below call the kernels.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}
+        self._spread = {}
+        self._scopes = {}
+
+    def scope(self, name):
+        """The Workspace ``name`` kept with this one: its buffers never
+        alias this one's, so its spread values do not displace them."""
+        sub = self._scopes.get(name)
+        if sub is None:
+            sub = self._scopes[name] = Workspace()
+        return sub
+
+    def take(self, name, shape, dtype=float):
+        view = self._views.get(name)
+        if view is not None and view.shape == shape:
+            return view
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        view = self._views[name] = buf[:size].reshape(shape)
+        return view
+
+    def spread(self, name, values, shape):
+        """The per-row ``values`` (a (rows, 1) array) repeated over the
+        columns of the 2-d ``shape``, in the buffer ``name``, filled again
+        only when the shape or the values' bits change; other values come
+        back as they are.  numpy runs an operation with a full-array
+        operand in one loop over the block, and one with a (rows, 1)
+        operand in a loop call per row, at about 0.1 us each."""
+        values = np.asarray(values)
+        if len(shape) != 2 or values.shape != (shape[0], 1):
+            return values
+        full = self.take(name, shape)
+        bits = values.tobytes()
+        kept = self._spread.get(name)
+        if kept is None or kept[0] is not full or kept[1] != bits:
+            np.copyto(full, values)
+            self._spread[name] = (full, bits)
+        return full
 
 
 def _phi(u, out):
@@ -58,11 +125,70 @@ def norm_pdf(x):
     return _phi(x, np.empty_like(x))[()]
 
 
+def norm_into(x, out):
+    """The normal triple at ``x`` written to ``out`` = (f, F, M1), arrays
+    of x's shape; M1 = -f is left out if ``out[2]`` is None."""
+    f, F, M1 = out
+    _phi(x, f)
+    ndtr(x, out=F)
+    if M1 is not None:
+        np.negative(f, out=M1)
+    return out
+
+
 def norm_fFM(x):
     """Fused (pdf, cdf, M1) of the standard normal."""
     x = np.asarray(x, dtype=float)
-    p = norm_pdf(x)
-    return p, ndtr(x), -p
+    return tuple(a[()] for a in norm_into(x, _fresh(x.shape)))
+
+
+def ncx2_into(x, lam, out, ws):
+    """The ncx2 triple of :func:`ncx2_fFM` written to ``out`` = (f, F, M1),
+    C-contiguous arrays of the shape ``x`` and ``lam`` broadcast to, with
+    its temporaries taken from the :class:`Workspace` ``ws``.  ``x`` may
+    have any memory layout: it is only read, cell by cell."""
+    f, F, M1 = out
+    shape = f.shape
+    dead = np.greater(x, 0.0, out=ws.take("ncx2.dead", shape, bool))
+    np.logical_not(dead, out=dead)          # x <= 0 or NaN
+    # Cells off the support get sqrt(x) = LOBE_CUT, which keeps them out
+    # of the sliver, and x+ = 0, where Phi and phi are cheap; both are then
+    # set to their limit 0, which makes all three parts 0.  sqrt(x) is
+    # capped at _SQRT_CAP, so x = +inf gets x+ and x- finite, and so F = 1,
+    # f = 0 and M1 = 1 + lam from the formulas.
+    xs = ws.take("ncx2.xs", shape)
+    with np.errstate(invalid="ignore"):
+        np.sqrt(x, out=xs)
+    np.copyto(xs, LOBE_CUT, where=dead)
+    np.minimum(xs, _SQRT_CAP, out=xs)
+    sl = np.sqrt(lam)
+    xp = np.subtract(xs, ws.spread("ncx2.sl", sl, shape),
+                     out=ws.take("ncx2.xp", shape))
+    np.copyto(xp, 0.0, where=dead)
+    xm = np.subtract(ws.spread("ncx2.-sl", -sl, shape), xs,   # -xs - sl
+                     out=ws.take("ncx2.xm", shape))
+    ndtr(xp, out=F)
+    np.copyto(F, 0.0, where=dead)
+    pp = _phi(xp, f)                        # phi(x+), divided below
+    np.copyto(pp, 0.0, where=dead)
+    # The second lobe on its sliver, by flat index into the C-contiguous
+    # buffers; no cell is in it if every sqrt(lam) >= LOBE_CUT.
+    lobe = None
+    if sl.min() < LOBE_CUT:
+        sliver = np.flatnonzero(np.greater(xm, -LOBE_CUT, out=dead))
+        xm_l = xm.ravel()[sliver]
+        pm = _phi(xm_l, np.empty_like(xm_l))
+        F.ravel()[sliver] -= ndtr(xm_l)
+        lobe = (sliver, (pp.ravel()[sliver] + pm) / (2.0 * xs.ravel()[sliver]),
+                pm * xp.ravel()[sliver])
+    np.multiply(F, ws.spread("ncx2.1+lam", 1.0 + lam, shape), out=M1)
+    M1 += np.multiply(pp, xm, out=xm)
+    np.divide(pp, np.multiply(xs, 2.0, out=xs), out=f)
+    if lobe is not None:
+        sliver, f_l, pm_xp = lobe
+        M1.ravel()[sliver] -= pm_xp
+        f.ravel()[sliver] = f_l
+    return out
 
 
 def ncx2_fFM(x, lam):
@@ -81,79 +207,77 @@ def ncx2_fFM(x, lam):
     where x- > -LOBE_CUT, a sliver near x = 0 that is empty once
     sqrt(lam) >= LOBE_CUT; elsewhere it is taken as 0.  Every term is
     evaluated in the order written above, so the cells of the sliver
-    match these formulas bit for bit.  Off the support (x <= 0, +inf and
-    NaN) x+ is -inf, which makes phi(x+), Phi(x+) and so all three parts
-    exactly 0 there with no further pass.
-
-    ``x`` may have any memory layout: it is made C-contiguous once
-    broadcast, so that the sliver's flat indices address every buffer
-    derived from it.
+    match these formulas bit for bit.  Off the support (x <= 0 and NaN)
+    Phi(x+) and phi(x+) are set to 0, which makes all three parts exactly
+    0; at x = +inf the formulas give the limits.  The one implementation
+    is :func:`ncx2_into`; this form gives it fresh arrays.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     shape = np.broadcast_shapes(x.shape, lam.shape)
-    x = np.ascontiguousarray(np.broadcast_to(x, shape or (1,)))  # 0-d: 1 cell
-    live = x > 0.0
-    live &= x < np.inf
-    # Cells off the support get sqrt(x) = LOBE_CUT, which keeps them out
-    # of the sliver, and x+ = -inf.
-    xs = np.where(live, x, LOBE_CUT * LOBE_CUT)
-    np.sqrt(xs, out=xs)
-    sl = np.sqrt(lam)
-    xp = np.where(live, xs, -np.inf)
-    xp -= sl
-    xm = np.subtract(-sl, xs)               # -xs - sl, bit for bit
-    F = ndtr(xp)
-    pp = _phi(xp, np.empty_like(xp))
-    # The second lobe on its sliver, by flat index.  ravel() is a view
-    # here: every buffer above is new and C-contiguous, like x.
-    sliver = np.flatnonzero(xm > -LOBE_CUT)
-    xm_l = xm.ravel()[sliver]
-    pm = _phi(xm_l, np.empty_like(xm_l))
-    F.ravel()[sliver] -= ndtr(xm_l)
-    f_l = (pp.ravel()[sliver] + pm) / (2.0 * xs.ravel()[sliver])
-    pm_xp = pm * xp.ravel()[sliver]
-    M1 = np.multiply(F, 1.0 + lam)
-    M1 += np.multiply(pp, xm, out=xm)
-    f = np.divide(pp, np.multiply(xs, 2.0, out=xs), out=pp)
-    M1.ravel()[sliver] -= pm_xp
-    f.ravel()[sliver] = f_l
-    top = x == np.inf
-    F[top] = 1.0
-    M1[top] = np.broadcast_to(1.0 + lam, x.shape)[top]
-    return f.reshape(shape), F.reshape(shape), M1.reshape(shape)
+    out = ncx2_into(np.broadcast_to(x, shape or (1,)), lam,   # 0-d: 1 cell
+                    _fresh(shape or (1,)), Workspace())
+    return tuple(a.reshape(shape) for a in out)
 
 
-def reflect_fFM(law, x, xbar, lo=-np.inf):
-    """Fold the (f, F, M1) triple that ``law`` maps ``x`` to about ``xbar``:
+def _fresh(shape):
+    return tuple(np.empty(shape) for _ in range(3))
+
+
+def reflect_fFM(law, x, xbar, lo=-np.inf, out=None, ws=None):
+    """Fold the (f, F, M1) triple of ``law`` at ``x`` about ``xbar``:
 
         f~(x)  = f(x) + f(2 xbar - x)
         F~(x)  = F(x) - F(2 xbar - x)
         M1~(x) = M1(x) + M1(2 xbar - x) - 2 xbar F(2 xbar - x)
 
-    It is the one fold, for every law.  ``xbar`` and ``lo`` broadcast
-    against ``x``; ``law`` is exactly 0 below ``lo`` (0 for ncx2; -inf for
-    a Gaussian or a folded law), so the mirrored law is evaluated only on
-    the last-axis columns from the first to the last where some
-    2 xbar - x >= lo.  The fold is built in place in the fresh arrays
-    ``law`` returns, with the whole-array fold's bits.  M1~ drops per-law
-    constants, which cancel in the differences quantization consumes.
+    It is the one fold, for every law.  ``law(y, rows)`` returns the
+    unfolded triple at ``y``, the mirrored arguments of the rows ``rows``
+    (a slice of the first axis of a 2-d ``x``; a 0-d or 1-d ``x`` is one
+    row).  ``xbar`` and ``lo`` broadcast against ``x``; ``law`` is exactly
+    0 below ``lo`` (0 for ncx2; -inf for a Gaussian or a folded law), so
+    the mirrored law is evaluated only on the block from the first to the
+    last row and column where some 2 xbar - x >= lo, and on every cell if
+    ``lo`` is -inf throughout.  ``out`` is the triple of ``law`` at ``x``,
+    folded in place and returned (by default ``law(x, all rows)``, fresh);
+    an M1 of None in it and in the mirrored triple stands for -f, as for
+    the normal law, and then M1~ = -f~ - 2 xbar F2 is written to a buffer
+    of the :class:`Workspace` ``ws``, which also holds the mirrored
+    arguments.  The values are the whole-array fold's bit for bit.  M1~
+    drops per-law constants, which cancel in the differences quantization
+    consumes.
     """
     x = np.asarray(x, dtype=float)
-    out = tuple(np.asarray(a) for a in law(x))
-    xb2 = 2.0 * xbar
-    y = np.atleast_1d(xb2 - x)
-    live = np.flatnonzero(np.any(y >= lo, axis=tuple(range(y.ndim - 1))))
-    cols = slice(live[0], live[-1] + 1) if live.size else slice(0)
-    f2, F2, M2 = law(y[..., cols])
-    f, F, M1 = (np.atleast_1d(a)[..., cols] for a in out)   # views of out
-    f += f2
-    F -= F2
-    # (M1 + M2) - 2 xbar F2 in M2's buffer; + and * commute bit for bit.
-    M2 += M1
-    M2 -= np.multiply(F2, np.broadcast_to(xb2, y.shape)[..., cols], out=F2)
-    M1[...] = M2
-    return tuple(a[()] for a in out)
+    if out is None:
+        out = tuple(np.asarray(a) for a in law(x, slice(None)))
+    ws = Workspace() if ws is None else ws
+    x2 = np.atleast_2d(x)
+    xb2 = np.broadcast_to(ws.spread("fold.xb2", 2.0 * xbar, x2.shape),
+                          x2.shape)
+    y = np.subtract(xb2, x2, out=ws.take("fold.y", x2.shape))
+    rows = cols = slice(None)
+    if np.max(lo) > -np.inf:
+        live = np.greater_equal(y, lo,
+                                out=ws.take("fold.live", x2.shape, bool))
+        cols = np.flatnonzero(live.any(axis=0))
+        if not cols.size:
+            return tuple(a[()] for a in out)
+        cols = slice(cols[0], cols[-1] + 1)
+        rows = np.flatnonzero(live[:, cols].any(axis=1))
+        rows = slice(rows[0], rows[-1] + 1)
+    f2, F2, M2 = law(y[rows, cols], rows)
+    f, F, M1 = out
+    f_b, F_b = (np.atleast_2d(a)[rows, cols] for a in (f, F))   # views
+    f_b += f2
+    F_b -= F2
+    if M1 is None:    # -a - b is -(a + b) bit for bit
+        M1 = np.negative(f, out=ws.take("fold.M1", f.shape))
+        M1_b = M1[rows, cols]
+    else:             # + commutes bit for bit
+        M1_b = np.atleast_2d(M1)[rows, cols]
+        M1_b += M2
+    M1_b -= np.multiply(F2, xb2[rows, cols], out=F2)
+    return tuple(a[()] for a in (f, F, M1))
 
 
 @dataclass(frozen=True)
@@ -231,7 +355,8 @@ def reflect_funcs(base: ScalarDistribution, xbar: float) -> ScalarDistribution:
 
     def fFM(x):
         x = np.asarray(x, dtype=float)
-        f, F, M1 = reflect_fFM(base.fFM, np.maximum(x, xb), xb)
+        f, F, M1 = reflect_fFM(lambda y, rows: base.fFM(y),
+                               np.maximum(x, xb), xb)
         return np.where(x >= xb, f, 0.0), F, M1
 
     second_moment = None

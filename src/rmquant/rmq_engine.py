@@ -20,12 +20,22 @@ the missing mass accumulates in an extra zero-valued codeword that only
 transitions to itself.  In ``reflecting`` mode the same truncation is
 applied and every innovation law is replaced by its reflection about
 -c_i / m_i, so no mass is lost.
+
+Assembly: each Newton evaluation splits the next grid's regions into
+column blocks over all rows, and each thread assembles its blocks in
+buffers it keeps for the whole run (a ``distributions.Workspace``); only
+P, which becomes the step's transition matrix, is a fresh array.  A
+reflecting fold evaluates the mirrored law on one block of rows and
+columns.  On a 2-vCPU Intel Xeon VM this took the 7 paper runs' time to
+grids (``paper_grids`` ``quantize_s``) from a median of 0.848 to 0.739
+reference seconds, with every array unchanged bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from dataclasses import dataclass
 from typing import IO, List, Optional
 
@@ -34,6 +44,7 @@ import numpy as np
 from . import _pool
 from ._newton import damped_newton, grid_fault, step_eval, voronoi_edges
 from .affine_schemes import SCHEME_BUILDERS, UpdateBatch
+from .distributions import Workspace
 from .sde_models import (CevParams, GbmParams, SdeModel, cev_model, gbm_model,
                          integer_fields)
 from .vq1d import Quantizer, checked_grid, initial_guess
@@ -104,27 +115,45 @@ def _require_positive_scale(batch: UpdateBatch, boundary: str):
         )
 
 
-def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str):
+def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str,
+                      ws: Optional[Workspace] = None):
     """State points ``x`` in each row's innovation coordinates
     (x - c_i) / m_i, and the rows' reflection points (None unless
     reflecting)."""
-    z = np.subtract(x[None, :], batch.c[:, None])
-    z /= batch.m[:, None]
+    ws = Workspace() if ws is None else ws
+    z = ws.take("z", (batch.size, x.size))
+    np.copyto(z, x)
+    z -= ws.spread("c", batch.c[:, None], z.shape)
+    z /= ws.spread("m", batch.m[:, None], z.shape)
     xbar = -batch.c / batch.m if boundary == REFLECTING else None
     return z, xbar
 
 
-def _z_matrices(batch: UpdateBatch, edges: np.ndarray, boundary: str):
+def _z_matrices(batch: UpdateBatch, edges: np.ndarray, boundary: str,
+                ws: Optional[Workspace] = None):
     """(P, M, f) of every row of ``batch`` on the regions between
     consecutive ``edges``: transition probabilities and first-partial-moment
-    increments, one column per region, and the densities at every edge."""
-    fz, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary))
-    P = np.subtract(F[:, 1:], F[:, :-1])
-    if not np.all(batch.m > 0.0):
+    increments, one column per region, and the densities at every edge.
+    P is a view of a fresh array, M and f views of buffers of the
+    :class:`Workspace` ``ws`` if one is given."""
+    ws = Workspace() if ws is None else ws
+    fz, F, M1 = batch.law_fFM(*_normalized_edges(batch, edges, boundary, ws),
+                              ws=ws, m1=False)
+    # P and M are views of differences taken along the flattened arrays in
+    # one loop each (numpy makes a loop call per row of a 2-d slice); each
+    # row's last difference spans two rows and is dropped.
+    dP = np.empty(F.shape)
+    np.subtract(F.ravel()[1:], F.ravel()[:-1], out=dP.ravel()[:-1])
+    P = dP[:, :-1]
+    if not batch.m.min() > 0.0:
         P *= np.sign(batch.m)[:, None]
-    np.maximum(P, 0.0, out=P)
-    M = np.subtract(M1[:, 1:], M1[:, :-1])
-    return P, M, fz
+    np.maximum(dP, 0.0, out=dP)
+    dM = ws.take("M", F.shape)
+    if M1 is None:    # normal rows: M1 = -f, and -a - -b is b - a bit for bit
+        np.subtract(fz.ravel()[:-1], fz.ravel()[1:], out=dM.ravel()[:-1])
+    else:
+        np.subtract(M1.ravel()[1:], M1.ravel()[:-1], out=dM.ravel()[:-1])
+    return P, dM[:, :-1], fz
 
 
 def _next_edges(next_codewords: np.ndarray, boundary: str) -> np.ndarray:
@@ -142,7 +171,8 @@ def _column_blocks(rows: int, regions: int):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
+def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str,
+                       local: Optional[threading.local] = None):
     """Closure computing gradient/Hessian/centroids of the mixture distortion.
 
     Its four mixture sums are ``pw @ P``, ``p_c @ P``, ``p_m @ M`` and
@@ -152,32 +182,43 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str):
     M and f never exist whole.  Cells are elementwise and each column's
     sum runs over all rows as in one whole-matrix product, so the bits do
     not depend on the split or the thread count.  The evaluation's ``aux``
-    starts with the list of its P column blocks.
+    is the list of its P column blocks.
+
+    Every thread assembles its blocks in one :class:`Workspace` of its
+    own, which it keeps in ``local`` (by default the evaluator's own) from
+    its first block on; only P is a fresh array.  :func:`_chain` passes one
+    ``local`` per run, so every step reuses the pages of the one before:
+    freed and made again each step, the buffers of a CEV weak2 reflecting
+    paper run took 18k minor page faults against 3k, and the 7 paper runs
+    12% longer.  The blocks are computed again only when the grid size
+    changes, which it does not within a step.
     """
     pw, absm = prev_p, np.abs(batch.m)
     p_c = pw * batch.c
     p_m = pw * absm
     p_f = pw / absm
+    local = threading.local() if local is None else local
+    blocks, n = [], 0
 
     def evaluate(gam: np.ndarray):
+        nonlocal blocks, n
+        if gam.size != n:
+            blocks, n = _column_blocks(batch.size, gam.size), gam.size
         edges = _next_edges(gam, boundary)
 
         def block(cut):
+            ws = getattr(local, "ws", None)
+            if ws is None:
+                ws = local.ws = Workspace()
             a, b = cut
-            P, M, f = _z_matrices(batch, edges[a:b + 1], boundary)
+            P, M, f = _z_matrices(batch, edges[a:b + 1], boundary, ws)
             # the densities at the inner edges: all but the block's first,
             # and the last block drops the +inf edge
-            f = f[:, 1:gam.size - a]
-            # aux keeps a lone block's M and f alive: freed, their pages go
-            # back to the OS and each evaluation faults them in again (N=200:
-            # +30-70%).  With more blocks they add 3 MB to the peak (N=1000).
-            return (P, (pw @ P, p_c @ P, p_m @ M, p_f @ f),
-                    (M, f) if cut == (0, gam.size) else None)
+            f = f[:, 1:n - a]
+            return P, (pw @ P, p_c @ P, p_m @ M, p_f @ f)
 
-        blocks = _column_blocks(batch.size, gam.size)
-        P, sums, kept = zip(*_pool.pmap(block, blocks))
-        return step_eval(gam, *map(np.concatenate, zip(*sums)),
-                         aux=(list(P), kept[0]))
+        P, sums = zip(*_pool.pmap(block, blocks))
+        return step_eval(gam, *map(np.concatenate, zip(*sums)), aux=list(P))
 
     return evaluate
 
@@ -429,18 +470,19 @@ def _chain(model: SdeModel, scheme: str, s0: float, sched: Schedule,
         # Only the last grid and probabilities carry over, so a consumer
         # that drops each step holds no earlier matrix.  prev_p weights the
         # next mixture; absorbing mode stores it behind the absorbed mass.
+        # local keeps each thread's workspace until the run ends.
         prev_cw, prev_p, absorbed = np.array([float(s0)]), np.array([1.0]), 0.0
+        local = threading.local()
         for k in range(1, sched.K + 1):
             batch = build(model, prev_cw, sched.dt)
             _require_positive_scale(batch, boundary)
             guess, budget = start(k, batch, prev_cw)
-            evaluate = _mixture_evaluator(prev_p, batch, boundary)
-            gam, ev = damped_newton(guess, evaluate, budget,
-                                    lo=STATE_LOWER_END[boundary])
+            gam, ev = damped_newton(
+                guess, _mixture_evaluator(prev_p, batch, boundary, local),
+                budget, lo=STATE_LOWER_END[boundary])
             _check_domain(gam, model, k)
-            blocks = ev.aux[0]   # a copy of a lone block faults in new pages
-            P = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, 1)
-            del ev, blocks   # else held while the next step runs
+            P = np.concatenate(ev.aux, 1)
+            del ev   # else held while the next step runs
             p = prev_p @ P
             if boundary == ABSORBING:
                 lost = np.maximum(1.0 - P.sum(axis=1), 0.0)

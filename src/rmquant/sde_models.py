@@ -125,7 +125,12 @@ class CoefficientDomainError(ValueError):
 
 
 def _cev_positive(x):
+    """``x`` as a float array, floored at ``_CEV_EVAL_FLOOR``; refuses a
+    state <= 0.  One ``min`` pass clears the common input: a NaN makes the
+    minimum NaN, which takes the full check."""
     x = np.asarray(x, dtype=float)
+    if x.size and x.min() >= _CEV_EVAL_FLOOR:
+        return x
     if np.any(x <= 0.0):
         raise CoefficientDomainError(
             "CEV coefficients are only defined for x > 0; for processes that "

@@ -10,6 +10,7 @@ from rmquant import SdeModel, euler_update, milstein_update, weak2_update
 from rmquant.affine_schemes import (GAUSSIAN, NCX2, UpdateBatch,
                                     milstein_updates)
 
+from rmquant.distributions import Workspace
 from rmquant.rmq_engine import REFLECTING, _normalized_edges
 
 from conftest import GBM
@@ -263,7 +264,7 @@ def assert_fold_matches_reflect_fFM(batch, x):
     argument lies on the ncx2 support."""
     z, xbar = _normalized_edges(batch, np.asarray(x, dtype=float), REFLECTING)
     got = batch.law_fFM(z, xbar)
-    want = whole_matrix_fold(batch._base_fFM, z, xbar[:, None])
+    want = whole_matrix_fold(batch.law_fFM, z, xbar[:, None])
     for g, w in zip(got, want):
         assert g.shape == z.shape
         assert np.array_equal(g, w)
@@ -316,3 +317,38 @@ class TestRestrictedFold:
         batch = UpdateBatch([1.0, 2.0], c, [0.5, 90.0], [True, True],
                             [False, False])
         assert assert_fold_matches_reflect_fFM(batch, x) == live
+
+
+class TestWorkspace:
+    """law_fFM in a reused Workspace gives the fresh arrays' values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(reflecting_rows(), reflecting_rows())
+    def test_one_workspace_for_two_batches(self, first, second):
+        # the second batch's rows may match the first's count and shape,
+        # so the buffers, and the per-row values spread over them, are
+        # reused or refilled
+        ws = Workspace()
+        for batch, x in (first, second, first):
+            z, xbar = _normalized_edges(batch, np.asarray(x, dtype=float),
+                                        REFLECTING)
+            for reflect in (None, xbar):
+                want = batch.law_fFM(z, reflect)
+                got = batch.law_fFM(z, reflect, ws=ws, m1=False)
+                normal = not batch.is_ncx2.any()
+                if reflect is None and normal:
+                    assert got[2] is None   # M1 = -f, left out
+                    got = (got[0], got[1], -got[0])
+                for g, w in zip(got, want, strict=True):
+                    assert np.array_equal(g, w)
+
+    def test_spread_refills_on_new_values(self):
+        ws = Workspace()
+        a = ws.spread("v", np.array([[1.0], [2.0]]), (2, 3))
+        assert np.array_equal(a, [[1.0] * 3, [2.0] * 3])
+        assert ws.spread("v", np.array([[1.0], [2.0]]), (2, 3)) is a
+        b = ws.spread("v", np.array([[5.0], [2.0]]), (2, 3))
+        assert np.array_equal(b, [[5.0] * 3, [2.0] * 3])
+        c = ws.spread("v", np.array([[7.0]]), (1, 4))
+        assert np.array_equal(c, [[7.0] * 4])
+        assert ws.spread("v", 3.0, (2, 3)) == 3.0   # not per-row: as given

@@ -3,19 +3,21 @@
 The mixture evaluator of ``rmq_engine`` splits a Newton evaluation into
 column blocks on the pool of ``rmquant._pool``, and ``simulate_terminal``
 runs its path chunks there; both must match a serial run exactly, the
-evaluator must give one whole-matrix pass's bits at any block split, and
-a forked child must not wait on threads it did not inherit.
+evaluator must give one whole-matrix pass's bits at any block split and
+with the per-thread workspaces it reuses, and a forked child must not
+wait on threads it did not inherit.
 """
 
 import multiprocessing
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from rmquant import (McConfig, Schedule, _pool, cev_model, oracles,
-                     rmq_engine, rmq_run)
+from rmquant import (McConfig, Schedule, _pool, affine_schemes, cev_model,
+                     oracles, rmq_engine, rmq_run)
 from rmquant._newton import step_eval
 from rmquant.affine_schemes import UpdateBatch
 
@@ -24,6 +26,8 @@ from conftest import CEV_LOW_ALPHA
 BOUNDARIES = ("free", "absorbing", "reflecting")
 # law cells per block: many blocks, the default's few, and one block
 BLOCK_CELLS = (5000, rmq_engine._BLOCK_CELLS, 10**9)
+# mirrored ncx2 cells of CEV alpha=0.35 weak2 reflecting, K=4, N=600
+MIRRORED_CELLS = 2_009_799
 
 
 def mixed_batch(rows, rng):
@@ -51,7 +55,7 @@ def evaluation(batch, gam, boundary):
     """One mixture evaluation at ``gam``, with its joined P."""
     ev = rmq_engine._mixture_evaluator(prev_probabilities(batch.size), batch,
                                        boundary)(gam)
-    return ev, np.concatenate(ev.aux[0], axis=1)
+    return ev, np.concatenate(ev.aux, axis=1)
 
 
 def blocked_evaluations(monkeypatch, batch, gam, boundary):
@@ -63,7 +67,7 @@ def blocked_evaluations(monkeypatch, batch, gam, boundary):
         for n in (1, 2):
             ev, P = with_workers(monkeypatch, n, evaluation, batch, gam,
                                  boundary)
-            out[cells, n] = ev, P, len(ev.aux[0])
+            out[cells, n] = ev, P, len(ev.aux)
     return out
 
 
@@ -114,10 +118,6 @@ def test_one_block_evaluation_is_the_whole_matrix_pass(monkeypatch, boundary):
     assert [runs[c, 1][2] for c in BLOCK_CELLS] == [5, 1, 1]
     for ev, P, _ in runs.values():
         assert_same_evaluation((ev, P), whole)
-    # only a lone block's M and f stay alive with the evaluation
-    assert runs[BLOCK_CELLS[0], 1][0].aux[1] is None
-    M1, f1 = runs[BLOCK_CELLS[-1], 1][0].aux[1]
-    assert np.array_equal(M1, M) and np.array_equal(f1, f[:, 1:-1])
 
 
 @pytest.mark.parametrize("cells", (1,) + BLOCK_CELLS[:2])
@@ -163,6 +163,130 @@ def test_ill_conditioned_run_does_not_depend_on_the_block_split(
         for a, b in zip(getattr(blocked, name), getattr(whole, name),
                         strict=True):
             assert np.array_equal(a, b), name
+
+
+def law_batch(kind, rows, rng):
+    """Rows of normal, ncx2 or mixed (ncx2 with euler fallback) updates."""
+    if kind == "mixed":
+        return mixed_batch(rows, rng)
+    ncx2 = np.full(rows, kind == "ncx2")
+    lam = np.where(ncx2, rng.uniform(0.5, 200.0, rows), 0.0)
+    return UpdateBatch(rng.uniform(0.05, 0.5, rows),
+                       rng.uniform(-1.0, 2.0, rows), lam, ncx2,
+                       np.zeros(rows, bool))
+
+
+@pytest.mark.parametrize("cells", (5000, 10**9), ids=["blocks", "one-block"])
+@pytest.mark.parametrize("kind", ("normal", "ncx2", "mixed"))
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_a_reused_evaluator_equals_fresh_ones(monkeypatch, boundary, kind,
+                                              cells):
+    # An evaluator assembles in the workspaces it keeps between its
+    # evaluations: grids A, B, A, a grid of another size and B again give
+    # a fresh evaluator's arrays, and no later evaluation writes an
+    # earlier one's P.
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(_pool, "workers", lambda: 2)
+    rng = np.random.default_rng(13)
+    batch = law_batch(kind, 120, rng)
+    a, b = grid(rng, 203, boundary), grid(rng, 203, boundary)
+    prev = prev_probabilities(batch.size)
+    evaluate = rmq_engine._mixture_evaluator(prev, batch, boundary)
+    kept = []
+    for gam in (a, b, a, grid(rng, 97, boundary), b):
+        ev = evaluate(gam)
+        fresh = rmq_engine._mixture_evaluator(prev, batch, boundary)(gam)
+        assert_same_evaluation((ev, np.concatenate(ev.aux, axis=1)),
+                               (fresh, np.concatenate(fresh.aux, axis=1)))
+        kept.append((ev.aux, [P.copy() for P in ev.aux]))
+    assert (len(kept[0][0]) > 1) == (cells == 5000)
+    for blocks, copies in kept:
+        for P, copy in zip(blocks, copies, strict=True):
+            assert np.array_equal(P, copy)
+
+
+@pytest.mark.parametrize("cells", (8000, 10**9), ids=["blocks", "one-block"])
+def test_workspaces_live_for_their_run(monkeypatch, gbm, cells):
+    # Each thread that assembles a block makes one workspace, on its first
+    # block: the calling thread for a lone block, the pool's threads for
+    # more.  Later steps reuse it, and none outlives the run.
+    monkeypatch.setattr(_pool, "workers", lambda: 2)
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", cells)
+    made = []
+
+    class Recorded(rmq_engine.Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append((threading.current_thread(), weakref.ref(self)))
+
+    monkeypatch.setattr(rmq_engine, "Workspace", Recorded)
+    counts = []
+    for _ in rmq_engine.rmq_steps(gbm, "weak2", 100.0,
+                                  Schedule(T=1.0, K=3, n_per_step=150)):
+        counts.append(len(made))
+        assert all(ref() is not None for _, ref in made)
+    # step 1 has one row, so one block; later steps split at 8000 cells
+    assert counts == ([1, 3, 3] if cells == 8000 else [1, 1, 1])
+    assert len({thread for thread, _ in made}) == len(made)
+    assert all(ref() is None for _, ref in made)
+
+
+def test_runs_interleaved_on_two_threads_equal_serial_runs(
+        monkeypatch, gbm, cev_low_alpha):
+    # Two runs step by step in lock-step on two threads, each evaluation
+    # in several column blocks on the pool: every pool thread holds a
+    # workspace of each run's current evaluator.
+    monkeypatch.setattr(_pool, "workers", lambda: 2)
+    monkeypatch.setattr(rmq_engine, "_BLOCK_CELLS", 8000)
+    sched = Schedule(T=1.0, K=4, n_per_step=150)
+    runs = [(cev_low_alpha, "weak2", CEV_LOW_ALPHA.s0, sched, "reflecting"),
+            (gbm, "euler", 100.0, sched, "free")]
+    serial = [rmq_run(*args) for args in runs]
+    barrier = threading.Barrier(2, timeout=60)
+    out = [None, None]
+
+    def run(i):
+        steps = []
+        for step in rmq_engine.rmq_steps(*runs[i]):
+            steps.append(step)
+            barrier.wait()
+        out[i] = steps
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not any(t.is_alive() for t in threads)
+    for seq, steps in zip(serial, out, strict=True):
+        cw, p, P = zip(*steps)
+        for got, want in ((cw, seq.codewords), (p, seq.probabilities),
+                          (P[1:], seq.transitions)):
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
+
+
+def test_reflected_fold_evaluates_one_block_of_rows_and_columns(
+        monkeypatch, cev_low_alpha):
+    # A column block spans all rows.  The mirrored ncx2 law is 0 below 0,
+    # so the fold evaluates it on the rows and columns from the first to
+    # the last with some mirrored argument >= 0; rows near the boundary
+    # widen the columns, columns near it the rows.  CEV alpha=0.35 weak2
+    # reflecting at N=600 is three column blocks per evaluation; a column
+    # cut alone evaluates 4,885,666 mirrored cells there.
+    cells = []
+    fold = affine_schemes.reflect_fFM
+
+    def counting(law, x, *args, **kwargs):
+        def counted(y, rows):
+            cells.append(y.size)
+            return law(y, rows)
+        return fold(counted, x, *args, **kwargs)
+
+    monkeypatch.setattr(affine_schemes, "reflect_fFM", counting)
+    rmq_run(cev_low_alpha, "weak2", CEV_LOW_ALPHA.s0,
+            Schedule(T=1.0, K=4, n_per_step=600), "reflecting")
+    assert sum(cells) == MIRRORED_CELLS
 
 
 def test_lone_item_runs_in_the_calling_thread(monkeypatch):
@@ -217,7 +341,7 @@ def test_forked_child_assembles_without_the_parents_threads(monkeypatch):
     batch = mixed_batch(300, np.random.default_rng(3))
     gam = np.linspace(-3.0, 40.0, 300)   # 301 edges: four column blocks
     ev, P = evaluation(batch, gam, "free")   # starts the pool
-    assert len(ev.aux[0]) == 4
+    assert len(ev.aux) == 4
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=forked_evaluation, args=(batch, gam, send))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rmquant import CevParams, GbmParams, cev_model, gbm_exact_marginal
+from rmquant import (CevParams, GbmParams, cev_model, gbm_exact_marginal,
+                     sde_models)
 
 from conftest import CEV, GBM, assert_derivative
 
@@ -122,3 +123,43 @@ class TestGbmExactMarginal:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             gbm_exact_marginal(GBM, 0.0)
+
+
+def floored_reference(x):
+    """The CEV floor as a full compare, any and maximum."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("x <= 0")
+    return np.maximum(x, sde_models._CEV_EVAL_FLOOR)
+
+
+class TestCevPositive:
+    """``_cev_positive`` guards every CEV coefficient: states <= 0 are
+    refused, tiny ones floored, and everything else passes through."""
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -3.0, [50.0, -0.1],
+                                     [2.0, 0.0, 7.0], [np.nan, 0.0],
+                                     [-np.inf, 1.0]],
+                             ids=["zero", "minus-zero", "negative",
+                                  "one-negative", "one-zero", "nan-and-zero",
+                                  "minus-inf"])
+    def test_refuses_nonpositive_states(self, bad):
+        with pytest.raises(sde_models.CoefficientDomainError):
+            sde_models._cev_positive(bad)
+
+    @pytest.mark.parametrize("x", [
+        [3.0, 1e-12, 0.25], [1e-300, 5e-13, 2.0], [np.nan, 1.0], [np.nan],
+        [np.inf, 1e-20], 7.5, 1e-15, np.float64(2.0), []],
+        ids=["above-floor", "below-floor", "nan", "all-nan", "inf",
+             "scalar", "scalar-below-floor", "numpy-scalar", "empty"])
+    def test_floors_as_a_full_check(self, x):
+        got = sde_models._cev_positive(x)
+        want = floored_reference(x)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_coefficients_at_nan_and_below_floor(self, cev):
+        floor = sde_models._CEV_EVAL_FLOOR
+        assert cev.b(1e-15) == cev.b(floor)
+        assert np.isnan(cev.b(np.array([np.nan, 1.0]))[0])
+        assert cev.b_x(np.array([])).shape == (0,)
