@@ -110,7 +110,9 @@ class UpdateBatch:
         cancel in the differences consumed by the quantization engine.
         The triple is written to buffers of the :class:`Workspace` ``ws``,
         or to fresh arrays; ``m1=False`` lets an unreflected batch of
-        normal rows return None for m1, which is minus the pdf.
+        normal rows return None for m1, which is minus the pdf.  The
+        mirrored triple takes buffers of its own names in ``ws`` and the
+        ncx2 temporaries, which the base law is done with.
 
         Every law takes the one fold, :func:`reflect_fFM`.  An ncx2 row is
         0 below 0, so the mirrored law is evaluated only on the block of
@@ -127,13 +129,11 @@ class UpdateBatch:
         if xbar is None:
             return out
 
-        mws = ws.scope("mirrored")
-
         def mirrored(y, rows):
-            return self._law_into(y, (mws.take("law.f", y.shape),
-                                      mws.take("law.F", y.shape),
-                                      mws.take("law.M1", y.shape) if m1
-                                      else None), mws, rows)
+            return self._law_into(y, (ws.take("mirror.f", y.shape),
+                                      ws.take("mirror.F", y.shape),
+                                      ws.take("mirror.M1", y.shape) if m1
+                                      else None), ws, rows)
 
         lo = (-np.inf if normal
               else np.where(self.is_ncx2, 0.0, -np.inf)[:, None])

@@ -22,7 +22,7 @@ machine precision over the whole real line.
 Each law has one implementation, :func:`norm_into` and :func:`ncx2_into`,
 and the fold one, :func:`reflect_fFM`.  They write into arrays the caller
 gives and take their temporaries from a :class:`Workspace`, which the
-quantization engine keeps in each thread for a step; ``norm_fFM`` and
+quantization engine keeps in each thread for a run; ``norm_fFM`` and
 ``ncx2_fFM`` call them with fresh arrays.  They use full passes and masked
 copies, never masked ufunc loops (half the speed here), and never
 ``where=`` on a ``scipy.special`` ufunc (it has crashed ``ndtr``).
@@ -57,7 +57,7 @@ REAL_LINE = (-np.inf, np.inf)
 
 
 class Workspace:
-    """Scratch arrays that one thread reuses from one kernel call to the next.
+    """Named scratch buffers that one thread reuses from call to call.
 
     ``take(name, shape)`` returns a C-contiguous array of ``shape`` at the
     start of the buffer ``name``, which grows when it is too small; it
@@ -69,16 +69,6 @@ class Workspace:
     def __init__(self):
         self._buffers = {}
         self._views = {}
-        self._spread = {}
-        self._scopes = {}
-
-    def scope(self, name):
-        """The Workspace ``name`` kept with this one: its buffers never
-        alias this one's, so its spread values do not displace them."""
-        sub = self._scopes.get(name)
-        if sub is None:
-            sub = self._scopes[name] = Workspace()
-        return sub
 
     def take(self, name, shape, dtype=float):
         view = self._views.get(name)
@@ -90,24 +80,6 @@ class Workspace:
             buf = self._buffers[name] = np.empty(size, dtype)
         view = self._views[name] = buf[:size].reshape(shape)
         return view
-
-    def spread(self, name, values, shape):
-        """The per-row ``values`` (a (rows, 1) array) repeated over the
-        columns of the 2-d ``shape``, in the buffer ``name``, filled again
-        only when the shape or the values' bits change; other values come
-        back as they are.  numpy runs an operation with a full-array
-        operand in one loop over the block, and one with a (rows, 1)
-        operand in a loop call per row, at about 0.1 us each."""
-        values = np.asarray(values)
-        if len(shape) != 2 or values.shape != (shape[0], 1):
-            return values
-        full = self.take(name, shape)
-        bits = values.tobytes()
-        kept = self._spread.get(name)
-        if kept is None or kept[0] is not full or kept[1] != bits:
-            np.copyto(full, values)
-            self._spread[name] = (full, bits)
-        return full
 
 
 def _phi(u, out):
@@ -162,11 +134,9 @@ def ncx2_into(x, lam, out, ws):
     np.copyto(xs, LOBE_CUT, where=dead)
     np.minimum(xs, _SQRT_CAP, out=xs)
     sl = np.sqrt(lam)
-    xp = np.subtract(xs, ws.spread("ncx2.sl", sl, shape),
-                     out=ws.take("ncx2.xp", shape))
+    xp = np.subtract(xs, sl, out=ws.take("ncx2.xp", shape))
     np.copyto(xp, 0.0, where=dead)
-    xm = np.subtract(ws.spread("ncx2.-sl", -sl, shape), xs,   # -xs - sl
-                     out=ws.take("ncx2.xm", shape))
+    xm = np.subtract(-sl, xs, out=ws.take("ncx2.xm", shape))   # -xs - sl
     ndtr(xp, out=F)
     np.copyto(F, 0.0, where=dead)
     pp = _phi(xp, f)                        # phi(x+), divided below
@@ -181,7 +151,7 @@ def ncx2_into(x, lam, out, ws):
         F.ravel()[sliver] -= ndtr(xm_l)
         lobe = (sliver, (pp.ravel()[sliver] + pm) / (2.0 * xs.ravel()[sliver]),
                 pm * xp.ravel()[sliver])
-    np.multiply(F, ws.spread("ncx2.1+lam", 1.0 + lam, shape), out=M1)
+    np.multiply(F, 1.0 + lam, out=M1)
     M1 += np.multiply(pp, xm, out=xm)
     np.divide(pp, np.multiply(xs, 2.0, out=xs), out=f)
     if lobe is not None:
@@ -252,8 +222,7 @@ def reflect_fFM(law, x, xbar, lo=-np.inf, out=None, ws=None):
         out = tuple(np.asarray(a) for a in law(x, slice(None)))
     ws = Workspace() if ws is None else ws
     x2 = np.atleast_2d(x)
-    xb2 = np.broadcast_to(ws.spread("fold.xb2", 2.0 * xbar, x2.shape),
-                          x2.shape)
+    xb2 = np.broadcast_to(2.0 * xbar, x2.shape)
     y = np.subtract(xb2, x2, out=ws.take("fold.y", x2.shape))
     rows = cols = slice(None)
     if np.max(lo) > -np.inf:

@@ -121,10 +121,9 @@ def _normalized_edges(batch: UpdateBatch, x: np.ndarray, boundary: str,
     (x - c_i) / m_i, and the rows' reflection points (None unless
     reflecting)."""
     ws = Workspace() if ws is None else ws
-    z = ws.take("z", (batch.size, x.size))
-    np.copyto(z, x)
-    z -= ws.spread("c", batch.c[:, None], z.shape)
-    z /= ws.spread("m", batch.m[:, None], z.shape)
+    z = np.subtract(x, batch.c[:, None],
+                    out=ws.take("z", (batch.size, x.size)))
+    z /= batch.m[:, None]
     xbar = -batch.c / batch.m if boundary == REFLECTING else None
     return z, xbar
 
@@ -190,20 +189,16 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str,
     ``local`` per run, so every step reuses the pages of the one before:
     freed and made again each step, the buffers of a CEV weak2 reflecting
     paper run took 18k minor page faults against 3k, and the 7 paper runs
-    12% longer.  The blocks are computed again only when the grid size
-    changes, which it does not within a step.
+    12% longer.
     """
     pw, absm = prev_p, np.abs(batch.m)
     p_c = pw * batch.c
     p_m = pw * absm
     p_f = pw / absm
     local = threading.local() if local is None else local
-    blocks, n = [], 0
 
     def evaluate(gam: np.ndarray):
-        nonlocal blocks, n
-        if gam.size != n:
-            blocks, n = _column_blocks(batch.size, gam.size), gam.size
+        n = gam.size
         edges = _next_edges(gam, boundary)
 
         def block(cut):
@@ -217,7 +212,7 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str,
             f = f[:, 1:n - a]
             return P, (pw @ P, p_c @ P, p_m @ M, p_f @ f)
 
-        P, sums = zip(*_pool.pmap(block, blocks))
+        P, sums = zip(*_pool.pmap(block, _column_blocks(batch.size, n)))
         return step_eval(gam, *map(np.concatenate, zip(*sums)), aux=list(P))
 
     return evaluate

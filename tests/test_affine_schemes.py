@@ -326,8 +326,7 @@ class TestWorkspace:
     @given(reflecting_rows(), reflecting_rows())
     def test_one_workspace_for_two_batches(self, first, second):
         # the second batch's rows may match the first's count and shape,
-        # so the buffers, and the per-row values spread over them, are
-        # reused or refilled
+        # so the buffers are reused or refilled
         ws = Workspace()
         for batch, x in (first, second, first):
             z, xbar = _normalized_edges(batch, np.asarray(x, dtype=float),
@@ -341,14 +340,3 @@ class TestWorkspace:
                     got = (got[0], got[1], -got[0])
                 for g, w in zip(got, want, strict=True):
                     assert np.array_equal(g, w)
-
-    def test_spread_refills_on_new_values(self):
-        ws = Workspace()
-        a = ws.spread("v", np.array([[1.0], [2.0]]), (2, 3))
-        assert np.array_equal(a, [[1.0] * 3, [2.0] * 3])
-        assert ws.spread("v", np.array([[1.0], [2.0]]), (2, 3)) is a
-        b = ws.spread("v", np.array([[5.0], [2.0]]), (2, 3))
-        assert np.array_equal(b, [[5.0] * 3, [2.0] * 3])
-        c = ws.spread("v", np.array([[7.0]]), (1, 4))
-        assert np.array_equal(c, [[7.0] * 4])
-        assert ws.spread("v", 3.0, (2, 3)) == 3.0   # not per-row: as given

@@ -231,6 +231,26 @@ def test_workspaces_live_for_their_run(monkeypatch, gbm, cells):
     assert all(ref() is None for _, ref in made)
 
 
+def test_workspace_holds_at_most_13_values_per_law_cell(monkeypatch,
+                                                        cev_low_alpha):
+    # CEV alpha=0.35 weak2 reflecting at N=200 assembles one block of
+    # 200 x 201 law cells: the base and mirrored triples, the arguments,
+    # the ncx2 temporaries the two laws share, and M.
+    made = []
+
+    class Recorded(rmq_engine.Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(rmq_engine, "Workspace", Recorded)
+    rmq_run(cev_low_alpha, "weak2", CEV_LOW_ALPHA.s0,
+            Schedule(T=1.0, K=3, n_per_step=200), "reflecting")
+    assert len(made) == 1
+    held = sum(buf.nbytes for buf in made[0]._buffers.values())
+    assert held <= 13 * 8 * 200 * 201
+
+
 def test_runs_interleaved_on_two_threads_equal_serial_runs(
         monkeypatch, gbm, cev_low_alpha):
     # Two runs step by step in lock-step on two threads, each evaluation
