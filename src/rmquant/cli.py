@@ -17,7 +17,9 @@ refuses those that its model leaves unread.  A ``--config`` file of
 ``key=value`` lines supplies defaults that explicit flags override: each
 key is a long flag name without ``--`` (``N=200``, ``iters-rmq=10``,
 ``lambda=4``) and is checked exactly like that flag.
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.  Where the
+platform has ``SIGPIPE``, a command whose output pipe closes early (as
+under ``head``) is ended by that signal, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from collections import deque
 from contextlib import nullcontext
@@ -552,6 +555,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry():  # console-script target
+    if hasattr(signal, "SIGPIPE"):
+        # a closed output pipe ends the process as it ends head, not with
+        # a BrokenPipeError traceback and exit 1
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

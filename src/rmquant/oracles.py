@@ -24,7 +24,9 @@ independent: ``simulate_terminal`` runs them on the thread pool of
 output is the same at any worker count.  Each worker draws every chunk
 it runs into the one normals buffer it holds for the call and steps the
 chunk's states in place, so memory is set by the paths in flight, not
-by the path count.
+by the path count.  The steps read their normals from a small step-major
+tile that the worker refills from that buffer every few steps, so each
+step reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -48,11 +50,14 @@ from .sde_models import SdeModel, integer_fields
 # Paths in flight at once: each of the pool's workers simulates chunks of
 # _CHUNK_PATHS / workers paths, drawing every chunk's normals into the one
 # chunk x slots buffer it holds for the call, so the buffers together take
-# about 79 MB at 1200 steps whatever the worker count.  Smaller chunks pay
-# more per-step overhead: at two workers, CEV reflecting paths took about
-# 10% longer with 4096 in flight and about 10% less with 16384, which
-# needs twice the memory; GBM paths moved by 2-4%.
-_CHUNK_PATHS = 8192
+# about 59 MB at 1200 steps whatever the worker count.
+_CHUNK_PATHS = 6144
+# Steps read their normals from a step-major (_TILE_STEPS x chunk) tile,
+# refilled every _TILE_STEPS steps in pieces of _TILE_PATHS paths, so each
+# step reads a contiguous row, not a column of the paths x slots buffer.
+# _TILE_STEPS normals are one 64-byte line of a path's row.
+_TILE_STEPS = 8
+_TILE_PATHS = 512
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,8 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
     shape = (min(chunk, cfg.paths), _slots(cfg.steps))
     term = np.full(cfg.paths, float(s0))
     running = np.full(cfg.paths, float(s0))
-    # One normals buffer per worker, refilled for every chunk it runs; the
-    # buffers are freed with ``local`` when the call returns.
+    # One normals buffer and one tile per worker, refilled for every chunk
+    # it runs; the buffers are freed with ``local`` when the call returns.
     local = threading.local()
 
     def run(start):
@@ -181,6 +186,7 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         n = s.size
         if not hasattr(local, "normals"):
             local.normals = np.empty(shape)
+            local.tile = np.empty((_TILE_STEPS, shape[0]))
         z = _fill_normals(local.normals[:n], cfg.seed, start, cfg.steps)
         ta, tb = np.empty(n), np.empty(n)
         s_eval = np.empty(n) if boundary == "absorbing" else s
@@ -189,9 +195,18 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         # the values are unchanged; what model.a and model.b return is only
         # read, since a model may return its input.
         for j in range(cfg.steps):
+            k = j % _TILE_STEPS
+            if k == 0:
+                # the normals of the next _TILE_STEPS steps, fewer at the
+                # end, become the tile's rows
+                tile = local.tile[:min(_TILE_STEPS, cfg.steps - j), :n]
+                for p0 in range(0, n, _TILE_PATHS):
+                    p1 = p0 + _TILE_PATHS
+                    np.copyto(tile[:, p0:p1], z[p0:p1, j:j + len(tile)].T)
+            zj = tile[k]
             if stepping == "gbm_exact":
                 # s = s * exp(loc + scale * z)
-                np.multiply(scale, z[:, j], out=ta)
+                np.multiply(scale, zj, out=ta)
                 np.add(loc, ta, out=ta)
                 np.exp(ta, out=ta)
                 s *= ta
@@ -203,7 +218,7 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
                 # s = s + (a(s) dt + b(s) sq z)
                 np.multiply(model.a(s_eval), dt, out=ta)
                 np.multiply(model.b(s_eval), sq, out=tb)
-                tb *= z[:, j]
+                tb *= zj
                 ta += tb
                 s += ta
                 if boundary == "absorbing":

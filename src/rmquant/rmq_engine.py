@@ -26,9 +26,7 @@ column blocks over all rows, and each thread assembles its blocks in
 buffers it keeps for the whole run (a ``distributions.Workspace``); only
 P, which becomes the step's transition matrix, is a fresh array.  A
 reflecting fold evaluates the mirrored law on one block of rows and
-columns.  On a 2-vCPU Intel Xeon VM this took the 7 paper runs' time to
-grids (``paper_grids`` ``quantize_s``) from a median of 0.848 to 0.739
-reference seconds, with every array unchanged bit for bit.
+columns.  Every array is that of one whole-matrix pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -186,10 +184,7 @@ def _mixture_evaluator(prev_p: np.ndarray, batch: UpdateBatch, boundary: str,
     Every thread assembles its blocks in one :class:`Workspace` of its
     own, which it keeps in ``local`` (by default the evaluator's own) from
     its first block on; only P is a fresh array.  :func:`_chain` passes one
-    ``local`` per run, so every step reuses the pages of the one before:
-    freed and made again each step, the buffers of a CEV weak2 reflecting
-    paper run took 18k minor page faults against 3k, and the 7 paper runs
-    12% longer.
+    ``local`` per run, so every step reuses the pages of the one before.
     """
     pw, absm = prev_p, np.abs(batch.m)
     p_c = pw * batch.c

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -631,18 +632,41 @@ def test_malformed_lists_are_usage_errors(capsys, argv, named):
     assert out == "" and named in err
 
 
+def cli_env():
+    """The environment of a ``python -m rmquant.cli`` process on this tree."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def test_process_exit_codes():
     # the interpreter entry, not main: a parser refusal must also exit 2
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1]
-                                           / "src")}
     for argv, code in [
             (["vq", "--dist", "normal", "--n", "5"], 0),
             (["rmq", "--model", "cev", "--s0", "0.5", "--alpha", "0.35",
               "--sigma-ln", "0.5", "--N", "100"], 1),
             (["price", "european", "--levels", "1.1:1.3:3"], 2)]:
         done = subprocess.run([sys.executable, "-m", "rmquant.cli", *argv],
-                              env=env, capture_output=True, timeout=120)
+                              env=cli_env(), capture_output=True, timeout=120)
         assert done.returncode == code, (argv, done.stderr)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_output_pipe_ends_by_sigpipe():
+    # the CSV (about 150 kB) outgrows the pipe's buffer, so the command is
+    # still writing when its reader stops after 100 bytes, as head would
+    argv = [sys.executable, "-m", "rmquant.cli", "rmq", "--K", "12", "--N",
+            "200"]
+    with subprocess.Popen(argv, env=cli_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert len(head) == 100
+    assert proc.returncode == -signal.SIGPIPE, err
+    assert b"Traceback" not in err
 
 
 def test_output_goes_to_stdout_without_out(capsys):

@@ -14,6 +14,9 @@ stored ``gbm_exact_marginal`` array has a fourth row, E[S^2 1{S < x}],
 which the law no longer computes and the test does not read.
 Transition matrices are not stored; the probabilities pin them through
 p_{k+1} = p_k P_k.
+The bits were written with numpy 2.4.6 dispatching to its AVX-512 code
+paths and OpenBLAS 0.3.31 running its SkylakeX kernels; another CPU or
+build may move the last bits past these tolerances.
 
 Regenerate (only when a change of the numbers is intended) with
 

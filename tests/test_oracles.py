@@ -69,6 +69,15 @@ def plain_paths(model, s0, cfg, boundary, stepping):
     return s, want_max
 
 
+def tile_cases(*cases):
+    """(case, steps, monitoring stride) for each case: 24 steps, stride 4,
+    are 3 whole tiles of the Monte Carlo engine's 8 steps; 203 steps,
+    stride 7, are 25 tiles and a 3-step tail, with strides that end inside
+    tiles (ids ``<case>-tail``)."""
+    return ([pytest.param(c, 24, 4, id=c) for c in cases]
+            + [pytest.param(c, 203, 7, id=f"{c}-tail") for c in cases])
+
+
 def mc_european(model, payoff, cfg, stepping="euler"):
     """Monte Carlo price and standard error from s0 = 100 at T = 1, r = 5%."""
     term = simulate_terminal(model, 100.0, 1.0, cfg, stepping=stepping)
@@ -229,14 +238,16 @@ class TestMcPrice:
                                  "absorbing")
         assert np.mean(term == 0.0) > 0.0
 
-    @pytest.mark.parametrize("case", ["gbm-free", "cev-reflecting"])
+    @pytest.mark.parametrize("case, steps, stride",
+                             tile_cases("gbm-free", "cev-reflecting"))
     def test_paths_that_never_die_follow_the_plain_euler_loop(
-            self, gbm, cev_low_alpha, case):
+            self, gbm, cev_low_alpha, case, steps, stride):
         model, s0, boundary = {
             "gbm-free": (gbm, 100.0, "free"),
             "cev-reflecting": (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"),
         }[case]
-        cfg = McConfig(paths=3001, steps=24, seed=13, monitoring_stride=4)
+        cfg = McConfig(paths=3001, steps=steps, seed=13,
+                       monitoring_stride=stride)
         term, smax = simulate_terminal(model, s0, 1.0, cfg, boundary,
                                        want_running_max=True)
         s, want_max = plain_paths(model, s0, cfg, boundary, "euler")
@@ -245,15 +256,17 @@ class TestMcPrice:
         if boundary == "reflecting":
             assert np.all(term > 0.0) and np.any(term < 0.1 * s0)
 
-    @pytest.mark.parametrize("case", ["cev-absorbing", "gbm-exact"])
+    @pytest.mark.parametrize("case, steps, stride",
+                             tile_cases("cev-absorbing", "gbm-exact"))
     def test_absorbed_and_exact_paths_follow_their_plain_loops(
-            self, gbm, cev_low_alpha, case):
+            self, gbm, cev_low_alpha, case, steps, stride):
         model, s0, boundary, stepping = {
             "cev-absorbing": (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing",
                               "euler"),
             "gbm-exact": (gbm, 100.0, "free", "gbm_exact"),
         }[case]
-        cfg = McConfig(paths=3001, steps=24, seed=13, monitoring_stride=4)
+        cfg = McConfig(paths=3001, steps=steps, seed=13,
+                       monitoring_stride=stride)
         term, smax = simulate_terminal(model, s0, 1.0, cfg, boundary,
                                        stepping, want_running_max=True)
         s, want_max = plain_paths(model, s0, cfg, boundary, stepping)
