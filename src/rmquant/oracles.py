@@ -24,9 +24,14 @@ independent: ``simulate_terminal`` runs them on the thread pool of
 output is the same at any worker count.  Each worker draws every chunk
 it runs into the one normals buffer it holds for the call and steps the
 chunk's states in place, so memory is set by the paths in flight, not
-by the path count.  The steps read their normals from a small step-major
-tile that the worker refills from that buffer every few steps, so each
-step reads contiguous memory.
+by the path count.  The fills (Philox draws and ``ndtri``) release the
+interpreter lock and run on every worker at once, but only one worker
+steps at a time: a step is a few numpy calls on one chunk, and two
+workers stepping together hand the interpreter lock back and forth
+between those calls and take longer than one after the other.  The
+steps read their normals from a small step-major tile, refilled from
+the stepping worker's buffer every few steps, so each step reads
+contiguous memory.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ from .sde_models import SdeModel, integer_fields
 # Paths in flight at once: each of the pool's workers simulates chunks of
 # _CHUNK_PATHS / workers paths, drawing every chunk's normals into the one
 # chunk x slots buffer it holds for the call, so the buffers together take
-# about 59 MB at 1200 steps whatever the worker count.
-_CHUNK_PATHS = 6144
+# about 29.5 MB at 1200 steps whatever the worker count.  One worker steps
+# while the others fill, so the fills, which take most of the time, keep
+# every core busy at this size.
+_CHUNK_PATHS = 3072
 # Steps read their normals from a step-major (_TILE_STEPS x chunk) tile,
 # refilled every _TILE_STEPS steps in pieces of _TILE_PATHS paths, so each
 # step reads a contiguous row, not a column of the paths x slots buffer.
@@ -175,9 +182,13 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
     shape = (min(chunk, cfg.paths), _slots(cfg.steps))
     term = np.full(cfg.paths, float(s0))
     running = np.full(cfg.paths, float(s0))
-    # One normals buffer and one tile per worker, refilled for every chunk
-    # it runs; the buffers are freed with ``local`` when the call returns.
+    # One normals buffer per worker, refilled for every chunk it runs; the
+    # buffers are freed with ``local`` when the call returns.  Workers fill
+    # at once but step one at a time, under ``stepper``, so one tile serves
+    # the call and one set of step temporaries is live at a time.
     local = threading.local()
+    stepper = threading.Lock()
+    tiles = np.empty((_TILE_STEPS, shape[0]))
 
     def run(start):
         # Chunks own disjoint slices of the outputs and step them in place.
@@ -186,49 +197,49 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         n = s.size
         if not hasattr(local, "normals"):
             local.normals = np.empty(shape)
-            local.tile = np.empty((_TILE_STEPS, shape[0]))
         z = _fill_normals(local.normals[:n], cfg.seed, start, cfg.steps)
-        ta, tb = np.empty(n), np.empty(n)
-        s_eval = np.empty(n) if boundary == "absorbing" else s
-        dead = np.zeros(n, dtype=bool)
-        # Each step keeps the operands and order of its plain formula, so
-        # the values are unchanged; what model.a and model.b return is only
-        # read, since a model may return its input.
-        for j in range(cfg.steps):
-            k = j % _TILE_STEPS
-            if k == 0:
-                # the normals of the next _TILE_STEPS steps, fewer at the
-                # end, become the tile's rows
-                tile = local.tile[:min(_TILE_STEPS, cfg.steps - j), :n]
-                for p0 in range(0, n, _TILE_PATHS):
-                    p1 = p0 + _TILE_PATHS
-                    np.copyto(tile[:, p0:p1], z[p0:p1, j:j + len(tile)].T)
-            zj = tile[k]
-            if stepping == "gbm_exact":
-                # s = s * exp(loc + scale * z)
-                np.multiply(scale, zj, out=ta)
-                np.add(loc, ta, out=ta)
-                np.exp(ta, out=ta)
-                s *= ta
-            else:
-                if boundary == "absorbing":
-                    # dead paths sit at 0 and are evaluated at 1
-                    np.copyto(s_eval, s)
-                    np.copyto(s_eval, 1.0, where=dead)
-                # s = s + (a(s) dt + b(s) sq z)
-                np.multiply(model.a(s_eval), dt, out=ta)
-                np.multiply(model.b(s_eval), sq, out=tb)
-                tb *= zj
-                ta += tb
-                s += ta
-                if boundary == "absorbing":
-                    # a path dies at its first step to <= 0 and stays at 0
-                    dead |= s <= 0.0
-                    np.copyto(s, 0.0, where=dead)
-                elif boundary == "reflecting":
-                    np.abs(s, out=s)
-            if want_running_max and (j + 1) % cfg.monitoring_stride == 0:
-                np.maximum(smax, s, out=smax)
+        with stepper:
+            ta, tb = np.empty(n), np.empty(n)
+            s_eval = np.empty(n) if boundary == "absorbing" else s
+            dead = np.zeros(n, dtype=bool)
+            # Each step keeps the operands and order of its plain formula, so
+            # the values are unchanged; what model.a and model.b return is only
+            # read, since a model may return its input.
+            for j in range(cfg.steps):
+                k = j % _TILE_STEPS
+                if k == 0:
+                    # the normals of the next _TILE_STEPS steps, fewer at the
+                    # end, become the tile's rows
+                    tile = tiles[:min(_TILE_STEPS, cfg.steps - j), :n]
+                    for p0 in range(0, n, _TILE_PATHS):
+                        p1 = p0 + _TILE_PATHS
+                        np.copyto(tile[:, p0:p1], z[p0:p1, j:j + len(tile)].T)
+                zj = tile[k]
+                if stepping == "gbm_exact":
+                    # s = s * exp(loc + scale * z)
+                    np.multiply(scale, zj, out=ta)
+                    np.add(loc, ta, out=ta)
+                    np.exp(ta, out=ta)
+                    s *= ta
+                else:
+                    if boundary == "absorbing":
+                        # dead paths sit at 0 and are evaluated at 1
+                        np.copyto(s_eval, s)
+                        np.copyto(s_eval, 1.0, where=dead)
+                    # s = s + (a(s) dt + b(s) sq z)
+                    np.multiply(model.a(s_eval), dt, out=ta)
+                    np.multiply(model.b(s_eval), sq, out=tb)
+                    tb *= zj
+                    ta += tb
+                    s += ta
+                    if boundary == "absorbing":
+                        # a path dies at its first step to <= 0 and stays at 0
+                        dead |= s <= 0.0
+                        np.copyto(s, 0.0, where=dead)
+                    elif boundary == "reflecting":
+                        np.abs(s, out=s)
+                if want_running_max and (j + 1) % cfg.monitoring_stride == 0:
+                    np.maximum(smax, s, out=smax)
 
     _pool.pmap(run, range(0, cfg.paths, chunk))
     if want_running_max:

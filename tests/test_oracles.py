@@ -1,4 +1,7 @@
 import contextlib
+import dataclasses
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -131,27 +134,53 @@ class TestPathStreams:
         assert z.base is not None and z.base.shape == (300, slots)
 
     def test_chunking_invariance(self, monkeypatch, gbm, cev_low_alpha):
-        cfg = McConfig(paths=3001, steps=12, seed=3, monitoring_stride=3)
+        cfg = McConfig(paths=13289, steps=12, seed=3, monitoring_stride=3)
         cases = ((gbm, 100.0, "free"),
                  (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing"),
                  (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"))
+        # several chunks per worker with a ragged last one (13289 paths in
+        # chunks of 512, the default and 6144 paths over the workers),
+        # against one chunk of every path
+        chunk_sizes = (512, rmquant.oracles._CHUNK_PATHS, 6144, 10 ** 6)
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda: workers)
             for model, s0, boundary in cases:
-                # several chunks per worker with a ragged last one (3001
-                # paths in chunks of 512 / workers), then one of every path
                 runs = []
-                for chunk_paths in (512, 10 ** 6):
+                for chunk_paths in chunk_sizes:
                     monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS",
                                         chunk_paths)
                     runs.append(simulate_terminal(model, s0, 1.0, cfg,
                                                   boundary,
                                                   want_running_max=True))
-                (t1, m1), (t2, m2) = runs
-                assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
+                *chunked, (t1, m1) = runs
+                for t, m in chunked:
+                    assert np.array_equal(t, t1) and np.array_equal(m, m1)
                 assert np.all(m1 >= s0)
                 if boundary == "absorbing":
                     assert np.any(t1 == 0.0) and np.any(t1 > 0.0)
+
+    def test_step_loops_never_interleave(self, monkeypatch):
+        # The workers fill their normals at once but step one at a time: a
+        # drift that sleeps hands the interpreter lock to the other worker,
+        # and still each chunk's steps run as one unbroken run of calls.
+        monkeypatch.setattr(_pool, "workers", lambda: 2)
+        monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS", 64)
+        calls = []
+        base = linear_model(0.05, 0.3)
+
+        def a(x):
+            calls.append(threading.get_ident())
+            time.sleep(0.001)
+            return base.a(x)
+
+        model = dataclasses.replace(base, a=a)
+        # 6 chunks of 64 / 2 paths, the last one ragged
+        cfg = McConfig(paths=5 * 32 + 7, steps=5, seed=21)
+        simulate_terminal(model, 100.0, 1.0, cfg)
+        runs = [calls[i:i + cfg.steps] for i in range(0, len(calls), cfg.steps)]
+        assert len(runs) == 6 and len(calls) == 6 * cfg.steps
+        assert all(len(set(run)) == 1 for run in runs)
+        assert len(set(calls)) == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_normals_buffer_per_worker(self, monkeypatch, gbm, workers):
