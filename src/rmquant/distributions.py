@@ -68,18 +68,13 @@ class Workspace:
 
     def __init__(self):
         self._buffers = {}
-        self._views = {}
 
     def take(self, name, shape, dtype=float):
-        view = self._views.get(name)
-        if view is not None and view.shape == shape:
-            return view
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype)
-        view = self._views[name] = buf[:size].reshape(shape)
-        return view
+        return buf[:size].reshape(shape)
 
 
 def _phi(u, out):

@@ -29,9 +29,8 @@ interpreter lock and run on every worker at once, but only one worker
 steps at a time: a step is a few numpy calls on one chunk, and two
 workers stepping together hand the interpreter lock back and forth
 between those calls and take longer than one after the other.  The
-steps read their normals from a small step-major tile, refilled from
-the stepping worker's buffer every few steps, so each step reads
-contiguous memory.
+buffer is step-major (steps x paths), filled a few paths at a time and
+transposed as it is filled, so each step reads one contiguous row.
 """
 
 from __future__ import annotations
@@ -54,17 +53,16 @@ from .sde_models import SdeModel, integer_fields
 
 # Paths in flight at once: each of the pool's workers simulates chunks of
 # _CHUNK_PATHS / workers paths, drawing every chunk's normals into the one
-# chunk x slots buffer it holds for the call, so the buffers together take
+# steps x chunk buffer it holds for the call, so the buffers together take
 # about 29.5 MB at 1200 steps whatever the worker count.  One worker steps
 # while the others fill, so the fills, which take most of the time, keep
 # every core busy at this size.
 _CHUNK_PATHS = 3072
-# Steps read their normals from a step-major (_TILE_STEPS x chunk) tile,
-# refilled every _TILE_STEPS steps in pieces of _TILE_PATHS paths, so each
-# step reads a contiguous row, not a column of the paths x slots buffer.
-# _TILE_STEPS normals are one 64-byte line of a path's row.
-_TILE_STEPS = 8
-_TILE_PATHS = 512
+# A worker fills its chunk's normals _FILL_PATHS paths at a time into a
+# paths x slots uniforms buffer and copies each piece, transposed, into
+# the step-major normals buffer.  The uniforms buffer takes 0.6 MB per
+# worker at 1200 steps.
+_FILL_PATHS = 64
 
 
 @dataclass(frozen=True)
@@ -179,16 +177,14 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         loc = (p.r - 0.5 * p.sigma ** 2) * dt
         scale = p.sigma * sq
     chunk = _CHUNK_PATHS // _pool.workers()
-    shape = (min(chunk, cfg.paths), _slots(cfg.steps))
     term = np.full(cfg.paths, float(s0))
     running = np.full(cfg.paths, float(s0))
-    # One normals buffer per worker, refilled for every chunk it runs; the
-    # buffers are freed with ``local`` when the call returns.  Workers fill
-    # at once but step one at a time, under ``stepper``, so one tile serves
-    # the call and one set of step temporaries is live at a time.
+    # One normals and one uniforms buffer per worker, refilled for every
+    # chunk it runs; the buffers are freed with ``local`` when the call
+    # returns.  Workers fill at once but step one at a time, under
+    # ``stepper``, so one set of step temporaries is live at a time.
     local = threading.local()
     stepper = threading.Lock()
-    tiles = np.empty((_TILE_STEPS, shape[0]))
 
     def run(start):
         # Chunks own disjoint slices of the outputs and step them in place.
@@ -196,8 +192,13 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         smax = running[start:start + chunk]
         n = s.size
         if not hasattr(local, "normals"):
-            local.normals = np.empty(shape)
-        z = _fill_normals(local.normals[:n], cfg.seed, start, cfg.steps)
+            local.normals = np.empty((cfg.steps, min(chunk, cfg.paths)))
+            local.uniforms = np.empty((_FILL_PATHS, _slots(cfg.steps)))
+        z, u = local.normals[:, :n], local.uniforms
+        for p0 in range(0, n, _FILL_PATHS):
+            m = min(_FILL_PATHS, n - p0)
+            np.copyto(z[:, p0:p0 + m],
+                      _fill_normals(u[:m], cfg.seed, start + p0, cfg.steps).T)
         with stepper:
             ta, tb = np.empty(n), np.empty(n)
             s_eval = np.empty(n) if boundary == "absorbing" else s
@@ -206,15 +207,7 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
             # the values are unchanged; what model.a and model.b return is only
             # read, since a model may return its input.
             for j in range(cfg.steps):
-                k = j % _TILE_STEPS
-                if k == 0:
-                    # the normals of the next _TILE_STEPS steps, fewer at the
-                    # end, become the tile's rows
-                    tile = tiles[:min(_TILE_STEPS, cfg.steps - j), :n]
-                    for p0 in range(0, n, _TILE_PATHS):
-                        p1 = p0 + _TILE_PATHS
-                        np.copyto(tile[:, p0:p1], z[p0:p1, j:j + len(tile)].T)
-                zj = tile[k]
+                zj = z[j]
                 if stepping == "gbm_exact":
                     # s = s * exp(loc + scale * z)
                     np.multiply(scale, zj, out=ta)

@@ -74,9 +74,8 @@ def plain_paths(model, s0, cfg, boundary, stepping):
 
 def tile_cases(*cases):
     """(case, steps, monitoring stride) for each case: 24 steps, stride 4,
-    are 3 whole tiles of the Monte Carlo engine's 8 steps; 203 steps,
-    stride 7, are 25 tiles and a 3-step tail, with strides that end inside
-    tiles (ids ``<case>-tail``)."""
+    and 203 steps, stride 7 (ids ``<case>-tail``), whose normals are a
+    strided view of each path's 204 Philox slots."""
     return ([pytest.param(c, 24, 4, id=c) for c in cases]
             + [pytest.param(c, 203, 7, id=f"{c}-tail") for c in cases])
 
@@ -139,16 +138,21 @@ class TestPathStreams:
                  (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing"),
                  (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"))
         # several chunks per worker with a ragged last one (13289 paths in
-        # chunks of 512, the default and 6144 paths over the workers),
-        # against one chunk of every path
-        chunk_sizes = (512, rmquant.oracles._CHUNK_PATHS, 6144, 10 ** 6)
+        # chunks of 512, the default and 6144 paths over the workers), and
+        # the default chunks filled 1, 7 (a ragged last piece) and 10**6
+        # paths at a time, against one chunk of every path
+        chunk_paths = rmquant.oracles._CHUNK_PATHS
+        fill_paths = rmquant.oracles._FILL_PATHS
+        settings = ([(c, fill_paths) for c in (512, chunk_paths, 6144)]
+                    + [(chunk_paths, f) for f in (1, 7, 10 ** 6)]
+                    + [(10 ** 6, fill_paths)])
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda: workers)
             for model, s0, boundary in cases:
                 runs = []
-                for chunk_paths in chunk_sizes:
-                    monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS",
-                                        chunk_paths)
+                for chunk, fill in settings:
+                    monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS", chunk)
+                    monkeypatch.setattr(rmquant.oracles, "_FILL_PATHS", fill)
                     runs.append(simulate_terminal(model, s0, 1.0, cfg,
                                                   boundary,
                                                   want_running_max=True))
@@ -184,17 +188,23 @@ class TestPathStreams:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_normals_buffer_per_worker(self, monkeypatch, gbm, workers):
-        # Every chunk draws its normals into the buffer its worker holds for
-        # the call: over several chunks per worker the buffers stay those of
-        # the paths in flight, and memory peaks near one such array.
+        # Every chunk draws its normals, piece by piece, through the
+        # uniforms buffer its worker holds for the call into the normals
+        # buffer it also holds: over several chunks per worker the buffers
+        # stay those of the paths in flight, and memory peaks near one
+        # paths-in-flight x steps array.
         monkeypatch.setattr(_pool, "workers", lambda: workers)
         chunk_paths = rmquant.oracles._CHUNK_PATHS
+        fill_paths = rmquant.oracles._FILL_PATHS
         cfg = McConfig(paths=4 * chunk_paths + 1001, steps=200, seed=8)
+        chunk = chunk_paths // workers
+        pieces = sum(-(-min(chunk, cfg.paths - start) // fill_paths)
+                     for start in range(0, cfg.paths, chunk))
         fill = rmquant.oracles._fill_normals
         buffers = []
 
         def recording_fill(u, *args):
-            # kept alive, so a buffer per chunk would count and add up
+            # kept alive, so a buffer per piece would count and add up
             buffers.append(u.base)
             return fill(u, *args)
 
@@ -205,7 +215,7 @@ class TestPathStreams:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(buffers) == -(-cfg.paths // (chunk_paths // workers))
+        assert len(buffers) == pieces
         assert len({id(b) for b in buffers}) == workers
         normals = chunk_paths * cfg.steps * 8
         outputs = 2 * cfg.paths * 8   # terminal states and running maxima
