@@ -8,6 +8,13 @@ price        price european / bermudan / barrier claims with references
 convergence  first-moment weak-order study over a list of step counts
 dist-error   implied-vs-reference terminal cdf error profile
 
+``price`` sets each RMQ price beside a reference: Black-Scholes for a GBM
+european, Crank-Nicolson for a bermudan, and Monte Carlo for a CEV
+european (Euler, 1200 steps by default) and for a barrier.  A GBM
+barrier's paths are drawn with the exact lognormal step at its K
+monitoring dates, one step per date by default, so that reference has no
+discretization error; a CEV barrier's are Euler, 1200 steps by default.
+
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
 and require it where a reference is simulated.  A flag that the run would
@@ -126,13 +133,23 @@ def _mc_args(sp):
     sp.add_argument("--mc-paths", type=int, default=None, dest="mc_paths",
                     help=f"Monte Carlo paths (default {MC_PATHS})")
     sp.add_argument("--mc-steps", type=int, default=None, dest="mc_steps",
-                    help=f"Monte Carlo time steps (default {MC_STEPS})")
+                    help=f"Monte Carlo time steps (default {MC_STEPS}, or K "
+                         f"for a GBM barrier, whose paths are drawn exactly "
+                         f"at the monitoring dates)")
 
 
 def _mc_sizes(ns):
-    """(paths, steps) of a Monte Carlo reference, defaults filled in."""
+    """(paths, steps, stepping) of a Monte Carlo reference, defaults filled
+    in.  A GBM barrier is read at its K monitoring dates only, so it steps
+    exactly, once per date unless ``--mc-steps`` splits each date's step
+    into sub-steps of the same law; CEV has no exact sampler and steps
+    Euler."""
+    exact = (ns.command == "price" and ns.instrument == "barrier"
+             and ns.model == "gbm")
+    steps = ns.K if exact else MC_STEPS
     return (MC_PATHS if ns.mc_paths is None else ns.mc_paths,
-            MC_STEPS if ns.mc_steps is None else ns.mc_steps)
+            steps if ns.mc_steps is None else ns.mc_steps,
+            "gbm_exact" if exact else "euler")
 
 
 def _model_rules(ns):
@@ -391,7 +408,7 @@ def cmd_price(ns) -> int:
     if ns.instrument == "bermudan":
         fd_cfg = FdConfig(ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
     if mc_ref:
-        paths, steps = _mc_sizes(ns)
+        paths, steps, stepping = _mc_sizes(ns)
         stride = _monitoring_stride(steps, ns.K) if barrier else 1
         mc_cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
                           monitoring_stride=stride)
@@ -399,7 +416,7 @@ def cmd_price(ns) -> int:
     mc_boundary = ns.boundary if ns.model == "cev" else FREE
     if mc_ref:
         mc = simulate_terminal(model, params.s0, ns.T, mc_cfg, mc_boundary,
-                               want_running_max=barrier)
+                               stepping, want_running_max=barrier)
     disc = np.exp(-r * ns.T)
 
     rows = []
@@ -483,9 +500,9 @@ def cmd_dist_error(ns) -> int:
     else:
         if ns.seed is None:
             raise ValueError("CEV references need --seed")
-        paths, steps = _mc_sizes(ns)
-        ref = empirical_cdf(model, params.s0, ns.T, paths, ns.seed,
-                            steps=steps, boundary=ns.boundary)
+        paths, steps, stepping = _mc_sizes(ns)
+        ref = empirical_cdf(model, params.s0, ns.T, paths, ns.seed, stepping,
+                            steps, ns.boundary)
         lo, hi = None, None  # set from the first scheme's terminal grid
 
     rows = []

@@ -164,6 +164,24 @@ class TestPrice:
             assert r["std_error"] != ""
             assert float(r["std_error"]) > 0.0
 
+    def test_gbm_barrier_reference_is_exact_at_the_dates(self, tmp_path):
+        # At K=1 an up-and-out put whose level is above an at-the-money
+        # strike is the plain put: S_T < strike < level on every path that
+        # pays.  Drawn exactly, its reference is an unbiased Monte Carlo
+        # estimate of the Black-Scholes put.
+        out = tmp_path / "prices.csv"
+        rc = main(["price", "barrier", "--K", "1", "--N", "20",
+                   "--levels", "1.05:1.5:4", "--seed", "5",
+                   "--mc-paths", "200000", "--out", str(out)])
+        assert rc == 0
+        bs = oracles.black_scholes("put", 100.0, 100.0, 0.05, 0.3, 1.0)
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        for r in rows:
+            se = float(r["std_error"])
+            assert 0.0 < se < 0.05
+            assert abs(float(r["reference"]) - bs) < 4 * se
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "prices.json"
         rc = main(["price", "european", "--model", "gbm", "--N", "80",
@@ -410,6 +428,27 @@ BARRIER = ["price", "barrier", "--seed", "1", "--mc-paths", "100",
 SMALL_GRID = ["--N", "20", "--K", "2"]
 CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
                   "--sigma-ln", "0.5", "--boundary", "reflecting"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["price", "barrier", "--K", "12"], (12, 1, "gbm_exact")),
+    (["price", "barrier", "--K", "12", "--mc-steps", "120"],
+     (120, 10, "gbm_exact")),
+    (["price", "barrier", *CEV_REFLECTING, "--K", "12"], (1200, 100, "euler")),
+    (["price", "european", *CEV_REFLECTING, "--K", "12"], (1200, 1, "euler")),
+], ids=["gbm-barrier", "gbm-barrier-mc-steps", "cev-barrier", "cev-european"])
+def test_monte_carlo_reference_routing(monkeypatch, capsys, argv, expected):
+    calls = []
+
+    def record(model, s0, T, cfg, boundary="free", stepping="euler",
+               want_running_max=False):
+        calls.append((cfg.steps, cfg.monitoring_stride, stepping))
+        return oracles.simulate_terminal(model, s0, T, cfg, boundary, stepping,
+                                         want_running_max)
+
+    monkeypatch.setattr(cli, "simulate_terminal", record)
+    assert main([*argv, "--N", "20", "--seed", "1", "--mc-paths", "64"]) == 0
+    assert calls == [expected]
 
 
 # by_parser: argparse refuses the flag, as a price instrument declares
