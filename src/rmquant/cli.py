@@ -14,6 +14,10 @@ european (Euler, 1200 steps by default) and for a barrier.  A GBM
 barrier's paths are drawn with the exact lognormal step at its K
 monitoring dates, one step per date by default, so that reference has no
 discretization error; a CEV barrier's are Euler, 1200 steps by default.
+``dist-error`` compares with the exact marginal for GBM and with an
+Euler Monte Carlo cdf for CEV.  One helper, ``_mc_reference``, makes each
+of these choices for both commands, and every reference input, a
+Black-Scholes strike included, is checked before any quantization runs.
 
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
@@ -138,30 +142,12 @@ def _mc_args(sp):
                          f"at the monitoring dates)")
 
 
-def _mc_sizes(ns):
-    """(paths, steps, stepping) of a Monte Carlo reference, defaults filled
-    in.  A GBM barrier is read at its K monitoring dates only, so it steps
-    exactly, once per date unless ``--mc-steps`` splits each date's step
-    into sub-steps of the same law; CEV has no exact sampler and steps
-    Euler."""
-    exact = (ns.command == "price" and ns.instrument == "barrier"
-             and ns.model == "gbm")
-    steps = ns.K if exact else MC_STEPS
-    return (MC_PATHS if ns.mc_paths is None else ns.mc_paths,
-            steps if ns.mc_steps is None else ns.mc_steps,
-            "gbm_exact" if exact else "euler")
-
-
 def _model_rules(ns):
     """``_refuse_unread`` rules for the parameter flags of the other model."""
     gbm = ns.model == "gbm"
     return [(gbm, "a GBM run has no CEV parameters",
              {"--alpha": ns.alpha, "--sigma-ln": ns.sigma_ln}),
             (not gbm, "a CEV run has no GBM volatility", {"--sigma": ns.sigma})]
-
-
-def _mc_flags(ns):
-    return {"--seed": ns.seed, "--mc-paths": ns.mc_paths, "--mc-steps": ns.mc_steps}
 
 
 def _refuse_unread(rules):
@@ -176,6 +162,44 @@ def _refuse_unread(rules):
             refused.append(f"{', '.join(given)}: {reason}")
     if refused:
         raise ValueError("; ".join(refused))
+
+
+def _mc_reference(ns, rules):
+    """The run's Monte Carlo reference, ``(McConfig, boundary, stepping)``,
+    or None where it is Black-Scholes (a GBM european), Crank-Nicolson (a
+    bermudan) or the exact marginal (a GBM ``dist-error``).
+
+    Refuses, with ``rules`` in one :func:`_refuse_unread` call, the Monte
+    Carlo flags of a run that would not read them, and requires ``--seed``
+    where it simulates.  A barrier is read at its K monitoring dates, so
+    its steps must divide among them.  A GBM barrier steps exactly, once
+    per date unless ``--mc-steps`` splits each date's step into sub-steps
+    of the same law; CEV has no exact sampler and steps Euler on the run's
+    boundary, 1200 steps by default."""
+    instrument = getattr(ns, "instrument", ns.command)
+    barrier = instrument == "barrier"
+    simulates = barrier or (ns.model == "cev" and instrument != "bermudan")
+    # a bermudan declares no Monte Carlo flags, so its values are all None
+    flags = {flag: getattr(ns, flag[2:].replace("-", "_"), None)
+             for flag in ("--seed", "--mc-paths", "--mc-steps")}
+    _refuse_unread([*rules, (not simulates, f"a GBM {instrument} has an "
+                             f"exact reference, not Monte Carlo", flags)])
+    if not simulates:
+        return None
+    if ns.seed is None:
+        raise ValueError(f"a {ns.model.upper()} {instrument} reference is "
+                         f"Monte Carlo and needs --seed")
+    exact = barrier and ns.model == "gbm"
+    steps = ns.mc_steps
+    if steps is None:
+        steps = ns.K if exact else MC_STEPS
+    if barrier and steps % ns.K:
+        raise ValueError("--mc-steps must be divisible by K for monitored "
+                         "barrier references")
+    cfg = McConfig(paths=MC_PATHS if ns.mc_paths is None else ns.mc_paths,
+                   steps=steps, seed=ns.seed,
+                   monitoring_stride=steps // ns.K if barrier else 1)
+    return cfg, FREE if exact else ns.boundary, "gbm_exact" if exact else "euler"
 
 
 def _common_args(sp):
@@ -374,80 +398,53 @@ def cmd_rmq(ns) -> int:
     return EXIT_OK
 
 
-def _monitoring_stride(mc_steps: int, K: int) -> int:
-    if mc_steps % K:
-        raise ValueError("--mc-steps must be divisible by K for monitored "
-                         "barrier references")
-    return mc_steps // K
-
-
 def cmd_price(ns) -> int:
     barrier = ns.instrument == "barrier"
-    european = ns.instrument == "european"
-    mc_ref = barrier or (european and ns.model == "cev")
-    rules = _model_rules(ns)
-    if european:   # the other instruments declare only the flags they read
-        rules.append((not mc_ref, "a GBM european has no Monte Carlo reference",
-                      _mc_flags(ns)))
-    _refuse_unread(rules)
-    if mc_ref and ns.seed is None:
-        what = "barrier" if barrier else "CEV european"
-        raise ValueError(f"{what} references need --seed")
+    bermudan = ns.instrument == "bermudan"
+    # Every reference input is checked before the run, so that a bad K,
+    # strike, barrier level, grid or Monte Carlo size is refused at once.
+    sched = _schedule(ns, ns.K)
+    mc = _mc_reference(ns, _model_rules(ns))
     model, params = _build_model(ns)
-    kind = ns.kind
-    r = ns.r
+    kind, r = ns.kind, ns.r
     atm = ns.strike if ns.strike is not None else params.s0
     strikes = (np.array([atm]) if barrier or ns.strikes is None
                else ns.strikes * params.s0)
-    # Built before the run, so that a bad K, strike, barrier level, grid or
-    # Monte Carlo size is refused at once.
-    sched = _schedule(ns, ns.K)
     payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
     if barrier:
         barriers = [BarrierSpec(level=float(level)) for level in ns.levels * atm]
-    if ns.instrument == "bermudan":
+    elif bermudan:
         fd_cfg = FdConfig(ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
-    if mc_ref:
-        paths, steps, stepping = _mc_sizes(ns)
-        stride = _monitoring_stride(steps, ns.K) if barrier else 1
-        mc_cfg = McConfig(paths=paths, steps=steps, seed=ns.seed,
-                          monitoring_stride=stride)
+    elif mc is None:
+        refs = [(black_scholes(kind, params.s0, float(k), r, params.sigma,
+                               ns.T), None) for k in strikes]
     seq = rmq_run(model, ns.scheme, params.s0, sched, ns.boundary)
-    mc_boundary = ns.boundary if ns.model == "cev" else FREE
-    if mc_ref:
-        mc = simulate_terminal(model, params.s0, ns.T, mc_cfg, mc_boundary,
-                               stepping, want_running_max=barrier)
+    if mc is not None:
+        sim = simulate_terminal(model, params.s0, ns.T, *mc,
+                                want_running_max=barrier)
     disc = np.exp(-r * ns.T)
 
-    rows = []
-
-    def add_row(x, price, ref, se=None):
-        rows.append({"scheme": ns.scheme, "instrument": ns.instrument,
-                     "strike_or_level": float(x), "price": price,
-                     "reference": ref, "abs_error": abs(price - ref),
-                     "std_error": se})
-
-    if european:
-        for strike, payoff in zip(strikes, payoffs):
-            if ns.model == "gbm":
-                ref, se = black_scholes(kind, params.s0, float(strike), r,
-                                        params.sigma, ns.T), None
-            else:
-                ref, se = mc_estimate(disc * payoff.values(mc))
-            add_row(strike, european_price(seq, payoff, r), ref, se)
-    elif ns.instrument == "bermudan":
-        dates = [k * ns.T / ns.K for k in range(1, ns.K)]
-        for strike, payoff in zip(strikes, payoffs):
-            add_row(strike, bermudan_price(seq, payoff, r),
-                    cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
-                                fd_cfg))
-    else:
-        payoff = payoffs[0]
-        term, smax = mc
+    if barrier:
+        payoff, (term, smax) = payoffs[0], sim
         base = disc * payoff.values(term)
-        for spec in barriers:
-            price = barrier_up_out_price(seq, payoff, spec, r)
-            add_row(spec.level, price, *mc_estimate(base * (smax < spec.level)))
+        quotes = [(spec.level, barrier_up_out_price(seq, payoff, spec, r),
+                   mc_estimate(base * (smax < spec.level)))
+                  for spec in barriers]
+    else:
+        if bermudan:
+            dates = [k * ns.T / ns.K for k in range(1, ns.K)]
+            refs = [(cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
+                                 fd_cfg), None) for payoff in payoffs]
+        elif mc is not None:
+            refs = [mc_estimate(disc * payoff.values(sim))
+                    for payoff in payoffs]
+        pricer = bermudan_price if bermudan else european_price
+        quotes = [(k, pricer(seq, payoff, r), ref)
+                  for k, payoff, ref in zip(strikes, payoffs, refs)]
+    rows = [{"scheme": ns.scheme, "instrument": ns.instrument,
+             "strike_or_level": float(x), "price": price, "reference": ref,
+             "abs_error": abs(price - ref), "std_error": se}
+            for x, price, (ref, se) in quotes]
     _write_table(ns, PRICES_SCHEMA,
                  ["scheme", "instrument", "strike_or_level", "price",
                   "reference", "abs_error", "std_error"], rows)
@@ -485,12 +482,10 @@ def cmd_convergence(ns) -> int:
 def cmd_dist_error(ns) -> int:
     if ns.grid_points < 1:
         raise ValueError("--grid-points must be >= 1")
-    _refuse_unread([(ns.model == "gbm", "only CEV has a Monte Carlo reference; "
-                     "GBM uses the exact marginal", _mc_flags(ns)),
-                    *_model_rules(ns)])
-    model, params = _build_model(ns)
     sched = _schedule(ns, ns.K)   # a bad K is refused before the reference
-    if ns.model == "gbm":
+    mc = _mc_reference(ns, _model_rules(ns))
+    model, params = _build_model(ns)
+    if mc is None:
         ref = gbm_exact_marginal(params, ns.T)
         mu = (params.r - 0.5 * params.sigma ** 2) * ns.T
         sd = params.sigma * np.sqrt(ns.T)
@@ -498,11 +493,9 @@ def cmd_dist_error(ns) -> int:
         lo = params.s0 * np.exp(mu + sd * ndtri(1e-5))
         hi = params.s0 * np.exp(mu + sd * ndtri(1.0 - 1e-5))
     else:
-        if ns.seed is None:
-            raise ValueError("CEV references need --seed")
-        paths, steps, stepping = _mc_sizes(ns)
-        ref = empirical_cdf(model, params.s0, ns.T, paths, ns.seed, stepping,
-                            steps, ns.boundary)
+        cfg, boundary, stepping = mc
+        ref = empirical_cdf(model, params.s0, ns.T, cfg.paths, cfg.seed,
+                            stepping, cfg.steps, boundary)
         lo, hi = None, None  # set from the first scheme's terminal grid
 
     rows = []

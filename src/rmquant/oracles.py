@@ -29,8 +29,10 @@ interpreter lock and run on every worker at once, but only one worker
 steps at a time: a step is a few numpy calls on one chunk, and two
 workers stepping together hand the interpreter lock back and forth
 between those calls and take longer than one after the other.  The
-buffer is step-major (steps x paths), filled a few paths at a time and
-transposed as it is filled, so each step reads one contiguous row.
+buffer is step-major (steps x paths), so each step reads one contiguous
+row.  It is filled in pieces of up to 64 x 1200 draws, as many whole paths
+as fit (64 at 1200 steps, a whole chunk at 12), each transposed as it is
+copied in.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ from .sde_models import SdeModel, integer_fields
 # while the others fill, so the fills, which take most of the time, keep
 # every core busy at this size.
 _CHUNK_PATHS = 3072
-# A worker fills its chunk's normals _FILL_PATHS paths at a time into a
-# paths x slots uniforms buffer and copies each piece, transposed, into
-# the step-major normals buffer.  The uniforms buffer takes 0.6 MB per
-# worker at 1200 steps.
-_FILL_PATHS = 64
+# A worker fills its chunk's normals a piece at a time into a paths x slots
+# uniforms buffer and copies each piece, transposed, into the step-major
+# normals buffer.  A piece holds _FILL_CELLS // slots paths (at least one,
+# at most a chunk): 64 paths at 1200 steps, a whole chunk at 12, so that a
+# short run is not filled in many small pieces.  The uniforms buffer takes
+# at most 0.6 MB per worker, or one path's draws where those take more.
+_FILL_CELLS = 64 * 1200
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,8 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         loc = (p.r - 0.5 * p.sigma ** 2) * dt
         scale = p.sigma * sq
     chunk = _CHUNK_PATHS // _pool.workers()
+    width = min(chunk, cfg.paths)   # the paths of a worker's buffers
+    piece = min(width, max(1, _FILL_CELLS // _slots(cfg.steps)))
     term = np.full(cfg.paths, float(s0))
     running = np.full(cfg.paths, float(s0))
     # One normals and one uniforms buffer per worker, refilled for every
@@ -192,11 +198,11 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         smax = running[start:start + chunk]
         n = s.size
         if not hasattr(local, "normals"):
-            local.normals = np.empty((cfg.steps, min(chunk, cfg.paths)))
-            local.uniforms = np.empty((_FILL_PATHS, _slots(cfg.steps)))
+            local.normals = np.empty((cfg.steps, width))
+            local.uniforms = np.empty((piece, _slots(cfg.steps)))
         z, u = local.normals[:, :n], local.uniforms
-        for p0 in range(0, n, _FILL_PATHS):
-            m = min(_FILL_PATHS, n - p0)
+        for p0 in range(0, n, piece):
+            m = min(piece, n - p0)
             np.copyto(z[:, p0:p0 + m],
                       _fill_normals(u[:m], cfg.seed, start + p0, cfg.steps).T)
         with stepper:

@@ -430,25 +430,53 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
                   "--sigma-ln", "0.5", "--boundary", "reflecting"]
 
 
+# expected: a simulate_terminal call's (steps, monitoring stride, stepping,
+# boundary), an empirical_cdf call's (steps, stepping, boundary), or None
+# where the reference is Black-Scholes, Crank-Nicolson or the exact marginal
 @pytest.mark.parametrize("argv, expected", [
-    (["price", "barrier", "--K", "12"], (12, 1, "gbm_exact")),
+    (["price", "barrier", "--K", "12"], (12, 1, "gbm_exact", "free")),
     (["price", "barrier", "--K", "12", "--mc-steps", "120"],
-     (120, 10, "gbm_exact")),
-    (["price", "barrier", *CEV_REFLECTING, "--K", "12"], (1200, 100, "euler")),
-    (["price", "european", *CEV_REFLECTING, "--K", "12"], (1200, 1, "euler")),
-], ids=["gbm-barrier", "gbm-barrier-mc-steps", "cev-barrier", "cev-european"])
+     (120, 10, "gbm_exact", "free")),
+    (["price", "barrier", "--K", "12", "--boundary", "absorbing"],
+     (12, 1, "gbm_exact", "free")),
+    (["price", "barrier", *CEV_REFLECTING, "--K", "12"],
+     (1200, 100, "euler", "reflecting")),
+    (["price", "european", *CEV_REFLECTING, "--K", "12"],
+     (1200, 1, "euler", "reflecting")),
+    (["dist-error", *CEV_REFLECTING, "--boundary", "absorbing", "--K", "3",
+      "--grid-points", "5"], (1200, "euler", "absorbing")),
+    (["price", "european", "--K", "3"], None),
+    (["price", "bermudan", "--K", "3", "--fd-time-steps", "60",
+      "--fd-space-steps", "120"], None),
+    (["dist-error", "--K", "3", "--grid-points", "5"], None),
+], ids=["gbm-barrier", "gbm-barrier-mc-steps", "gbm-barrier-absorbing",
+        "cev-barrier", "cev-european", "cev-absorbing-dist-error",
+        "gbm-european", "bermudan", "gbm-dist-error"])
 def test_monte_carlo_reference_routing(monkeypatch, capsys, argv, expected):
     calls = []
 
-    def record(model, s0, T, cfg, boundary="free", stepping="euler",
-               want_running_max=False):
-        calls.append((cfg.steps, cfg.monitoring_stride, stepping))
+    def record_paths(model, s0, T, cfg, boundary="free", stepping="euler",
+                     want_running_max=False):
+        calls.append((cfg.steps, cfg.monitoring_stride, stepping, boundary))
         return oracles.simulate_terminal(model, s0, T, cfg, boundary, stepping,
                                          want_running_max)
 
-    monkeypatch.setattr(cli, "simulate_terminal", record)
-    assert main([*argv, "--N", "20", "--seed", "1", "--mc-paths", "64"]) == 0
-    assert calls == [expected]
+    def record_cdf(model, s0, t, samples, seed, stepping="euler", steps=1200,
+                   boundary="free"):
+        calls.append((steps, stepping, boundary))
+        return oracles.empirical_cdf(model, s0, t, samples, seed, stepping,
+                                     steps, boundary)
+
+    def simulate(*args, **kwargs):
+        pytest.fail("this run's reference is not Monte Carlo")
+
+    monkeypatch.setattr(cli, "simulate_terminal", record_paths if expected
+                        else simulate)
+    monkeypatch.setattr(cli, "empirical_cdf", record_cdf if expected
+                        else simulate)
+    mc = ["--seed", "1", "--mc-paths", "64"] if expected else []
+    assert main([*argv, "--N", "20", *mc]) == 0
+    assert calls == ([expected] if expected else [])
 
 
 # by_parser: argparse refuses the flag, as a price instrument declares
@@ -566,11 +594,15 @@ def no_computation(monkeypatch):
      "seed must lie in [0, 2**128), got -1"),
     (["price", "barrier", "--seed", "-1"],
      "seed must lie in [0, 2**128), got -1"),
+    # the Black-Scholes references are checked before the run too
+    (["price", "european", "--strike", "0"], "strike"),
+    (["price", "european", "--strikes", "0:1.2:3"], "strike"),
 ], ids=["strike-nan", "strike-inf", "r-nan", "r-inf", "sigma-inf",
         "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
         "fd-smax-mult-inf", "barrier-mc-paths-0", "barrier-mc-steps-0",
         "cev-european-mc-steps-0", "barrier-mc-steps-indivisible",
-        "cev-european-seed-negative", "barrier-seed-negative"])
+        "cev-european-seed-negative", "barrier-seed-negative",
+        "gbm-european-strike-0", "gbm-european-strikes-from-0"])
 def test_invalid_numbers_are_usage_errors(capsys, no_computation, argv, named):
     small = [] if argv[0] == "vq" else SMALL_GRID
     assert main([*argv, *small]) == 2

@@ -139,20 +139,21 @@ class TestPathStreams:
                  (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"))
         # several chunks per worker with a ragged last one (13289 paths in
         # chunks of 512, the default and 6144 paths over the workers), and
-        # the default chunks filled 1, 7 (a ragged last piece) and 10**6
-        # paths at a time, against one chunk of every path
+        # the default chunks filled 1 (a budget below one path's 12
+        # draws), 7 (a ragged last piece) and 10**6 paths at a time,
+        # against one chunk of every path
         chunk_paths = rmquant.oracles._CHUNK_PATHS
-        fill_paths = rmquant.oracles._FILL_PATHS
-        settings = ([(c, fill_paths) for c in (512, chunk_paths, 6144)]
-                    + [(chunk_paths, f) for f in (1, 7, 10 ** 6)]
-                    + [(10 ** 6, fill_paths)])
+        fill_cells = rmquant.oracles._FILL_CELLS
+        settings = ([(c, fill_cells) for c in (512, chunk_paths, 6144)]
+                    + [(chunk_paths, f) for f in (1, 7 * 12, 10 ** 6 * 12)]
+                    + [(10 ** 6, fill_cells)])
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda: workers)
             for model, s0, boundary in cases:
                 runs = []
                 for chunk, fill in settings:
                     monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS", chunk)
-                    monkeypatch.setattr(rmquant.oracles, "_FILL_PATHS", fill)
+                    monkeypatch.setattr(rmquant.oracles, "_FILL_CELLS", fill)
                     runs.append(simulate_terminal(model, s0, 1.0, cfg,
                                                   boundary,
                                                   want_running_max=True))
@@ -192,12 +193,15 @@ class TestPathStreams:
         # uniforms buffer its worker holds for the call into the normals
         # buffer it also holds: over several chunks per worker the buffers
         # stay those of the paths in flight, and memory peaks near one
-        # paths-in-flight x steps array.
+        # paths-in-flight x steps array.  At 1200 steps, the Euler
+        # references' default, a fill piece is 64 paths; at fewer steps the
+        # uniforms buffer keeps its 0.6 MB while the normals shrink.
         monkeypatch.setattr(_pool, "workers", lambda: workers)
         chunk_paths = rmquant.oracles._CHUNK_PATHS
-        fill_paths = rmquant.oracles._FILL_PATHS
-        cfg = McConfig(paths=4 * chunk_paths + 1001, steps=200, seed=8)
+        fill_cells = rmquant.oracles._FILL_CELLS
+        cfg = McConfig(paths=4 * chunk_paths + 1001, steps=1200, seed=8)
         chunk = chunk_paths // workers
+        fill_paths = min(chunk, fill_cells // cfg.steps)
         pieces = sum(-(-min(chunk, cfg.paths - start) // fill_paths)
                      for start in range(0, cfg.paths, chunk))
         fill = rmquant.oracles._fill_normals
@@ -217,6 +221,7 @@ class TestPathStreams:
             tracemalloc.stop()
         assert len(buffers) == pieces
         assert len({id(b) for b in buffers}) == workers
+        assert all(b.shape == (fill_paths, cfg.steps) for b in buffers)
         normals = chunk_paths * cfg.steps * 8
         outputs = 2 * cfg.paths * 8   # terminal states and running maxima
         assert peak < 1.1 * normals + outputs
