@@ -16,8 +16,9 @@ monitoring dates, one step per date by default, so that reference has no
 discretization error; a CEV barrier's are Euler, 1200 steps by default.
 ``dist-error`` compares with the exact marginal for GBM and with an
 Euler Monte Carlo cdf for CEV.  One helper, ``_mc_reference``, makes each
-of these choices for both commands, and every reference input, a
-Black-Scholes strike included, is checked before any quantization runs.
+of these choices for both commands.  ``price`` computes every reference,
+a Black-Scholes one included, before the quantization runs, so a bad
+reference input is refused before anything is quantized.
 
 Every command is deterministic given its flags; ``price`` and
 ``dist-error``, the commands with Monte Carlo references, take ``--seed``
@@ -401,50 +402,49 @@ def cmd_rmq(ns) -> int:
 def cmd_price(ns) -> int:
     barrier = ns.instrument == "barrier"
     bermudan = ns.instrument == "bermudan"
-    # Every reference input is checked before the run, so that a bad K,
-    # strike, barrier level, grid or Monte Carlo size is refused at once.
+    # Every reference is computed before the run, so that a bad K, strike,
+    # barrier level, grid or Monte Carlo size is refused at once.
     sched = _schedule(ns, ns.K)
     mc = _mc_reference(ns, _model_rules(ns))
     model, params = _build_model(ns)
-    kind, r = ns.kind, ns.r
+    kind, r, disc = ns.kind, ns.r, np.exp(-ns.r * ns.T)
     atm = ns.strike if ns.strike is not None else params.s0
-    strikes = (np.array([atm]) if barrier or ns.strikes is None
-               else ns.strikes * params.s0)
-    payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in strikes]
-    if barrier:
-        barriers = [BarrierSpec(level=float(level)) for level in ns.levels * atm]
-    elif bermudan:
+    if barrier:   # one option, quoted at every barrier level
+        xs = ns.levels * atm
+        specs = [BarrierSpec(level=float(level)) for level in xs]
+        payoffs = [VanillaPayoff(kind=kind, strike=float(atm))]
+    else:
+        xs = np.array([atm]) if ns.strikes is None else ns.strikes * params.s0
+        payoffs = [VanillaPayoff(kind=kind, strike=float(k)) for k in xs]
+    if bermudan:
         fd_cfg = FdConfig(ns.fd_time_steps, ns.fd_space_steps, ns.fd_smax_mult)
+        dates = [k * ns.T / ns.K for k in range(1, ns.K)]
+        refs = [(cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
+                             fd_cfg), None) for payoff in payoffs]
     elif mc is None:
         refs = [(black_scholes(kind, params.s0, float(k), r, params.sigma,
-                               ns.T), None) for k in strikes]
-    seq = rmq_run(model, ns.scheme, params.s0, sched, ns.boundary)
-    if mc is not None:
+                               ns.T), None) for k in xs]
+    else:
         sim = simulate_terminal(model, params.s0, ns.T, *mc,
                                 want_running_max=barrier)
-    disc = np.exp(-r * ns.T)
-
-    if barrier:
-        payoff, (term, smax) = payoffs[0], sim
-        base = disc * payoff.values(term)
-        quotes = [(spec.level, barrier_up_out_price(seq, payoff, spec, r),
-                   mc_estimate(base * (smax < spec.level)))
-                  for spec in barriers]
-    else:
-        if bermudan:
-            dates = [k * ns.T / ns.K for k in range(1, ns.K)]
-            refs = [(cn_bermudan(model, params.s0, ns.T, r, payoff, dates,
-                                 fd_cfg), None) for payoff in payoffs]
-        elif mc is not None:
+        if barrier:
+            term, smax = sim
+            base = disc * payoffs[0].values(term)
+            refs = [mc_estimate(base * (smax < spec.level)) for spec in specs]
+        else:
             refs = [mc_estimate(disc * payoff.values(sim))
                     for payoff in payoffs]
+    seq = rmq_run(model, ns.scheme, params.s0, sched, ns.boundary)
+    if barrier:
+        prices = [barrier_up_out_price(seq, payoffs[0], spec, r)
+                  for spec in specs]
+    else:
         pricer = bermudan_price if bermudan else european_price
-        quotes = [(k, pricer(seq, payoff, r), ref)
-                  for k, payoff, ref in zip(strikes, payoffs, refs)]
+        prices = [pricer(seq, payoff, r) for payoff in payoffs]
     rows = [{"scheme": ns.scheme, "instrument": ns.instrument,
              "strike_or_level": float(x), "price": price, "reference": ref,
              "abs_error": abs(price - ref), "std_error": se}
-            for x, price, (ref, se) in quotes]
+            for x, price, (ref, se) in zip(xs, prices, refs)]
     _write_table(ns, PRICES_SCHEMA,
                  ["scheme", "instrument", "strike_or_level", "price",
                   "reference", "abs_error", "std_error"], rows)

@@ -30,9 +30,10 @@ steps at a time: a step is a few numpy calls on one chunk, and two
 workers stepping together hand the interpreter lock back and forth
 between those calls and take longer than one after the other.  The
 buffer is step-major (steps x paths), so each step reads one contiguous
-row.  It is filled in pieces of up to 64 x 1200 draws, as many whole paths
-as fit (64 at 1200 steps, a whole chunk at 12), each transposed as it is
-copied in.
+row.  It is filled in pieces of whole paths, up to 64 x 1200 draws and a
+sixteenth of the worker's paths (64 paths at 1200 steps, 96 at 12 on two
+workers), each transposed as it is copied in.  A chunk's Philox stream is
+set up once and read on from piece to piece.
 """
 
 from __future__ import annotations
@@ -62,11 +63,13 @@ from .sde_models import SdeModel, integer_fields
 _CHUNK_PATHS = 3072
 # A worker fills its chunk's normals a piece at a time into a paths x slots
 # uniforms buffer and copies each piece, transposed, into the step-major
-# normals buffer.  A piece holds _FILL_CELLS // slots paths (at least one,
-# at most a chunk): 64 paths at 1200 steps, a whole chunk at 12, so that a
-# short run is not filled in many small pieces.  The uniforms buffer takes
-# at most 0.6 MB per worker, or one path's draws where those take more.
+# normals buffer.  A piece holds as many whole paths as _FILL_CELLS draws
+# take, but at most 1 / _FILL_SHARE of the worker's paths, and at least
+# one: 64 paths at 1200 steps and 96 at 12 on two workers, so that a short
+# run is not filled in many small pieces.  The uniforms buffer takes at most
+# 0.6 MB per worker and about a sixteenth of its normals buffer.
 _FILL_CELLS = 64 * 1200
+_FILL_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,18 @@ def _slots(steps: int) -> int:
     return 4 * ((steps + 3) // 4)
 
 
-def _fill_normals(u: np.ndarray, seed: int, path_start: int,
+def _path_stream(seed: int, path_start: int, steps: int) -> Generator:
+    """The Philox stream keyed by ``seed`` from path ``path_start`` on."""
+    return Generator(Philox(key=seed).advance(path_start * _slots(steps) // 4))
+
+
+def _fill_normals(u: np.ndarray, stream: Generator,
                   steps: int) -> np.ndarray:
-    """``path_normals`` for ``len(u)`` paths, drawn into ``u``, a C-ordered
-    (paths x slots) float64 array; returns the normals' view of ``u``."""
-    bg = Philox(key=seed)
-    bg.advance(path_start * u.shape[1] // 4)
-    Generator(bg).random(out=u)
+    """Normals of the next ``len(u)`` paths of ``stream``, drawn into ``u``,
+    a C-ordered (paths x slots) float64 array; returns the normals' view of
+    ``u``.  A path's slots are a multiple of 4 draws, so ``stream`` is left
+    at the next path's first draw."""
+    stream.random(out=u)
     z = u[:, :steps]
     z += 2.0 ** -54
     return ndtri(z, out=z)
@@ -156,7 +164,7 @@ def path_normals(seed: int, path_start: int, n_paths: int,
     array; when ``steps`` is not a multiple of 4 its rows are strided.
     """
     u = np.empty((n_paths, _slots(steps)))
-    return _fill_normals(u, seed, path_start, steps)
+    return _fill_normals(u, _path_stream(seed, path_start, steps), steps)
 
 
 def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
@@ -182,7 +190,7 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         scale = p.sigma * sq
     chunk = _CHUNK_PATHS // _pool.workers()
     width = min(chunk, cfg.paths)   # the paths of a worker's buffers
-    piece = min(width, max(1, _FILL_CELLS // _slots(cfg.steps)))
+    piece = max(1, min(width // _FILL_SHARE, _FILL_CELLS // _slots(cfg.steps)))
     term = np.full(cfg.paths, float(s0))
     running = np.full(cfg.paths, float(s0))
     # One normals and one uniforms buffer per worker, refilled for every
@@ -201,10 +209,10 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
             local.normals = np.empty((cfg.steps, width))
             local.uniforms = np.empty((piece, _slots(cfg.steps)))
         z, u = local.normals[:, :n], local.uniforms
+        stream = _path_stream(cfg.seed, start, cfg.steps)
         for p0 in range(0, n, piece):
             m = min(piece, n - p0)
-            np.copyto(z[:, p0:p0 + m],
-                      _fill_normals(u[:m], cfg.seed, start + p0, cfg.steps).T)
+            np.copyto(z[:, p0:p0 + m], _fill_normals(u[:m], stream, cfg.steps).T)
         with stepper:
             ta, tb = np.empty(n), np.empty(n)
             s_eval = np.empty(n) if boundary == "absorbing" else s

@@ -140,20 +140,22 @@ class TestPathStreams:
         # several chunks per worker with a ragged last one (13289 paths in
         # chunks of 512, the default and 6144 paths over the workers), and
         # the default chunks filled 1 (a budget below one path's 12
-        # draws), 7 (a ragged last piece) and 10**6 paths at a time,
-        # against one chunk of every path
+        # draws), 7 (a ragged last piece) and a whole chunk of paths at a
+        # time, against one chunk of every path
         chunk_paths = rmquant.oracles._CHUNK_PATHS
-        fill_cells = rmquant.oracles._FILL_CELLS
-        settings = ([(c, fill_cells) for c in (512, chunk_paths, 6144)]
-                    + [(chunk_paths, f) for f in (1, 7 * 12, 10 ** 6 * 12)]
-                    + [(10 ** 6, fill_cells)])
+        fill = (rmquant.oracles._FILL_CELLS, rmquant.oracles._FILL_SHARE)
+        settings = ([(c, *fill) for c in (512, chunk_paths, 6144)]
+                    + [(chunk_paths, cells, 1)
+                       for cells in (1, 7 * 12, 10 ** 6 * 12)]
+                    + [(10 ** 6, *fill)])
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda: workers)
             for model, s0, boundary in cases:
                 runs = []
-                for chunk, fill in settings:
+                for chunk, cells, share in settings:
                     monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS", chunk)
-                    monkeypatch.setattr(rmquant.oracles, "_FILL_CELLS", fill)
+                    monkeypatch.setattr(rmquant.oracles, "_FILL_CELLS", cells)
+                    monkeypatch.setattr(rmquant.oracles, "_FILL_SHARE", share)
                     runs.append(simulate_terminal(model, s0, 1.0, cfg,
                                                   boundary,
                                                   want_running_max=True))
@@ -187,21 +189,24 @@ class TestPathStreams:
         assert all(len(set(run)) == 1 for run in runs)
         assert len(set(calls)) == 2
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_normals_buffer_per_worker(self, monkeypatch, gbm, workers):
+    @pytest.mark.parametrize("workers, steps", [
+        pytest.param(1, 200, id="1"), pytest.param(2, 200, id="2"),
+        pytest.param(1, 1200, id="1-1200"), pytest.param(2, 1200, id="2-1200")])
+    def test_one_normals_buffer_per_worker(self, monkeypatch, gbm, workers,
+                                           steps):
         # Every chunk draws its normals, piece by piece, through the
         # uniforms buffer its worker holds for the call into the normals
         # buffer it also holds: over several chunks per worker the buffers
         # stay those of the paths in flight, and memory peaks near one
-        # paths-in-flight x steps array.  At 1200 steps, the Euler
-        # references' default, a fill piece is 64 paths; at fewer steps the
-        # uniforms buffer keeps its 0.6 MB while the normals shrink.
+        # paths-in-flight x steps array.  At 200 steps a piece is a
+        # sixteenth of the worker's paths; at 1200, the Euler references'
+        # default, the draw budget makes it 64 paths.
         monkeypatch.setattr(_pool, "workers", lambda: workers)
         chunk_paths = rmquant.oracles._CHUNK_PATHS
-        fill_cells = rmquant.oracles._FILL_CELLS
-        cfg = McConfig(paths=4 * chunk_paths + 1001, steps=1200, seed=8)
+        cfg = McConfig(paths=4 * chunk_paths + 1001, steps=steps, seed=8)
         chunk = chunk_paths // workers
-        fill_paths = min(chunk, fill_cells // cfg.steps)
+        fill_paths = min(chunk // rmquant.oracles._FILL_SHARE,
+                         rmquant.oracles._FILL_CELLS // cfg.steps)
         pieces = sum(-(-min(chunk, cfg.paths - start) // fill_paths)
                      for start in range(0, cfg.paths, chunk))
         fill = rmquant.oracles._fill_normals
