@@ -10,13 +10,19 @@ dist-error   implied-vs-reference terminal cdf error profile
 
 ``price`` sets each RMQ price beside a reference: Black-Scholes for a GBM
 european, Crank-Nicolson for a bermudan, and Monte Carlo for a CEV
-european (Euler, 1200 steps by default) and for a barrier.  A GBM
-barrier's paths are drawn with the exact lognormal step at its K
-monitoring dates, one step per date by default, so that reference has no
-discretization error; a CEV barrier's are Euler, 1200 steps by default.
-``dist-error`` compares with the exact marginal for GBM and with an
-Euler Monte Carlo cdf for CEV.  One helper, ``_mc_reference``, makes each
-of these choices for both commands.  ``price`` computes every reference,
+european and for a barrier.  A GBM barrier's paths are drawn with the
+exact lognormal step at its K monitoring dates, one step per date by
+default, so that reference has no discretization error.  A CEV
+european's terminal states are drawn from the exact CEV law in one step
+where it exists (absorbing at zero, or reflecting at alpha < 1/2) and no
+``--mc-steps`` is given; otherwise, and for every CEV barrier, they are
+Euler, 1200 steps by default (rounded up to a multiple of K for a
+barrier).  ``dist-error`` compares with the exact marginal for GBM and
+with a Monte Carlo cdf for CEV, drawn as for a CEV european.  One
+helper, ``_mc_reference``, makes each of these choices for both
+commands.  ``convergence`` measures each scheme's terminal mean against
+the forward s0 e^{rT}, or, for CEV reflecting at alpha < 1/2, against
+the exact reflected mean.  ``price`` computes every reference,
 a Black-Scholes one included, before the quantization runs, so a bad
 reference input is refused before anything is quantized.
 
@@ -53,10 +59,11 @@ from .oracles import (FdConfig, McConfig, black_scholes, cn_bermudan,
                       empirical_cdf, mc_estimate, simulate_terminal)
 from .pricing import (BarrierSpec, VanillaPayoff, barrier_up_out_price,
                       bermudan_price, european_price)
-from .rmq_engine import (BOUNDARY_MODES, FREE, RmqError, Schedule,
+from .rmq_engine import (BOUNDARY_MODES, FREE, REFLECTING, RmqError, Schedule,
                          implied_marginal_cdf, rmq_run, rmq_steps)
 from .sde_models import (CevParams, CoefficientDomainError, GbmParams,
-                         cev_model, gbm_exact_marginal, gbm_model)
+                         cev_law_exists, cev_model, cev_transition,
+                         gbm_exact_marginal, gbm_model)
 from .vq1d import Quantizer, distortion_gradient, initial_guess, newton_quantize
 
 EXIT_OK = 0
@@ -138,9 +145,13 @@ def _mc_args(sp):
     sp.add_argument("--mc-paths", type=int, default=None, dest="mc_paths",
                     help=f"Monte Carlo paths (default {MC_PATHS})")
     sp.add_argument("--mc-steps", type=int, default=None, dest="mc_steps",
-                    help=f"Monte Carlo time steps (default {MC_STEPS}, or K "
-                         f"for a GBM barrier, whose paths are drawn exactly "
-                         f"at the monitoring dates)")
+                    help=f"Monte Carlo time steps (default {MC_STEPS}, "
+                         f"rounded up to a multiple of K for a CEV barrier; "
+                         f"K for a GBM barrier, whose paths are drawn "
+                         f"exactly at the monitoring dates; 1 exact step for "
+                         f"a CEV european or dist-error, absorbing or "
+                         f"reflecting at alpha < 1/2, which an explicit "
+                         f"value turns into Euler steps)")
 
 
 def _model_rules(ns):
@@ -175,8 +186,11 @@ def _mc_reference(ns, rules):
     where it simulates.  A barrier is read at its K monitoring dates, so
     its steps must divide among them.  A GBM barrier steps exactly, once
     per date unless ``--mc-steps`` splits each date's step into sub-steps
-    of the same law; CEV has no exact sampler and steps Euler on the run's
-    boundary, 1200 steps by default."""
+    of the same law.  A CEV european or ``dist-error`` without
+    ``--mc-steps`` draws its terminal states exactly, in one step, where
+    the law exists (absorbing, or reflecting at alpha < 1/2).  Otherwise
+    CEV steps Euler on the run's boundary: ``--mc-steps`` steps, or 1200,
+    rounded up to a multiple of K for a barrier."""
     instrument = getattr(ns, "instrument", ns.command)
     barrier = instrument == "barrier"
     simulates = barrier or (ns.model == "cev" and instrument != "bermudan")
@@ -190,17 +204,24 @@ def _mc_reference(ns, rules):
     if ns.seed is None:
         raise ValueError(f"a {ns.model.upper()} {instrument} reference is "
                          f"Monte Carlo and needs --seed")
-    exact = barrier and ns.model == "gbm"
+    alpha = CEV_ALPHA if ns.alpha is None else ns.alpha
     steps = ns.mc_steps
-    if steps is None:
-        steps = ns.K if exact else MC_STEPS
+    if ns.model == "gbm":   # a barrier
+        stepping, boundary = "gbm_exact", FREE
+        steps = ns.K if steps is None else steps
+    elif steps is None and not barrier and cev_law_exists(alpha, ns.boundary):
+        stepping, boundary, steps = "cev_exact", ns.boundary, 1
+    else:
+        stepping, boundary = "euler", ns.boundary
+        if steps is None:   # a barrier's: the least multiple of K >= MC_STEPS
+            steps = -(-MC_STEPS // ns.K) * ns.K if barrier else MC_STEPS
     if barrier and steps % ns.K:
         raise ValueError("--mc-steps must be divisible by K for monitored "
                          "barrier references")
     cfg = McConfig(paths=MC_PATHS if ns.mc_paths is None else ns.mc_paths,
                    steps=steps, seed=ns.seed,
                    monitoring_stride=steps // ns.K if barrier else 1)
-    return cfg, FREE if exact else ns.boundary, "gbm_exact" if exact else "euler"
+    return cfg, boundary, stepping
 
 
 def _common_args(sp):
@@ -459,6 +480,10 @@ def cmd_convergence(ns) -> int:
     # Built before the first run, so that a bad K is refused at once.
     schedules = [_schedule(ns, K) for K in ns.k_list]
     target = params.s0 * np.exp(params.r * ns.T)
+    if (ns.model == "cev" and ns.boundary == REFLECTING
+            and cev_law_exists(params.alpha, REFLECTING)):
+        # reflection at zero lifts the mean above the forward
+        target = cev_transition(params, ns.T, REFLECTING).mean(params.s0)
     rows = []
     for scheme in ns.schemes:
         errs = []

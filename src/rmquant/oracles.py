@@ -5,8 +5,11 @@ their numerical machinery (only the normal cdf is common):
 
 * Black-Scholes closed forms for GBM European options.
 * A Monte Carlo engine with counter-based per-path random streams,
-  optional exact lognormal stepping for GBM, and absorbing/reflecting
-  behaviour at zero for models that need it.
+  Euler steps with absorbing/reflecting behaviour at zero for models
+  that need it, and exact steps where the transition law is known: the
+  lognormal step of GBM, and for CEV absorbed at zero (or reflected
+  there at alpha < 1/2) the inverse of its noncentral chi-square law at
+  the step's uniform, ``sde_models.cev_transition``.
 * A Crank-Nicolson finite-difference solver for Bermudan (and European)
   claims under a local-volatility model.  Its implicit operator is
   factored once per solve (LAPACK ``dgttrf``).  Each time step builds
@@ -28,18 +31,22 @@ by the path count.  The fills (Philox draws and ``ndtri``) release the
 interpreter lock and run on every worker at once, but only one worker
 steps at a time: a step is a few numpy calls on one chunk, and two
 workers stepping together hand the interpreter lock back and forth
-between those calls and take longer than one after the other.  The
-buffer is step-major (steps x paths), so each step reads one contiguous
-row.  It is filled in pieces of whole paths, up to 64 x 1200 draws and a
-sixteenth of the worker's paths (64 paths at 1200 steps, 96 at 12 on two
-workers), each transposed as it is copied in.  A chunk's Philox stream is
-set up once and read on from piece to piece.
+between those calls and take longer than one after the other.  An exact
+CEV step is instead one long scipy.special call on the chunk, which
+releases the lock, so every worker takes its steps at once; it reads
+the step's uniforms, not normals.  The buffer is step-major (steps x
+paths), so each step reads one contiguous row.  It is filled in pieces
+of whole paths, up to 64 x 1200 draws and a sixteenth of the worker's
+paths (64 paths at 1200 steps, 96 at 12 on two workers), each transposed
+as it is copied in.  A chunk's Philox stream is set up once and read on
+from piece to piece.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -52,7 +59,7 @@ from scipy.special import ndtr, ndtri
 from . import _pool
 from .distributions import ScalarDistribution
 from .pricing import VanillaPayoff
-from .sde_models import SdeModel, integer_fields
+from .sde_models import SdeModel, cev_transition, integer_fields
 
 # Paths in flight at once: each of the pool's workers simulates chunks of
 # _CHUNK_PATHS / workers paths, drawing every chunk's normals into the one
@@ -140,15 +147,23 @@ def _path_stream(seed: int, path_start: int, steps: int) -> Generator:
     return Generator(Philox(key=seed).advance(path_start * _slots(steps) // 4))
 
 
-def _fill_normals(u: np.ndarray, stream: Generator,
-                  steps: int) -> np.ndarray:
-    """Normals of the next ``len(u)`` paths of ``stream``, drawn into ``u``,
-    a C-ordered (paths x slots) float64 array; returns the normals' view of
-    ``u``.  A path's slots are a multiple of 4 draws, so ``stream`` is left
-    at the next path's first draw."""
+def _fill_uniforms(u: np.ndarray, stream: Generator,
+                   steps: int) -> np.ndarray:
+    """Uniforms in (0, 1) of the next ``len(u)`` paths of ``stream``, drawn
+    into ``u``, a C-ordered (paths x slots) float64 array; returns the view
+    of their first ``steps`` slots.  A path's slots are a multiple of 4
+    draws, so ``stream`` is left at the next path's first draw."""
     stream.random(out=u)
     z = u[:, :steps]
     z += 2.0 ** -54
+    return z
+
+
+def _fill_normals(u: np.ndarray, stream: Generator,
+                  steps: int) -> np.ndarray:
+    """Normals of the next ``len(u)`` paths of ``stream``: the uniforms of
+    :func:`_fill_uniforms` mapped in place through the inverse normal cdf."""
+    z = _fill_uniforms(u, stream, steps)
     return ndtri(z, out=z)
 
 
@@ -172,14 +187,18 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
                       want_running_max: bool = False):
     """Terminal states (and optionally the running monitored maximum).
 
-    ``stepping`` is ``euler`` or ``gbm_exact`` (exact lognormal one-step
-    transitions; GBM only).  The running maximum starts at ``s0`` and is
-    refreshed every ``monitoring_stride`` steps.
+    ``stepping`` is ``euler``, ``gbm_exact`` (exact lognormal one-step
+    transitions; GBM only) or ``cev_exact`` (each step inverts the exact
+    CEV law of :func:`~rmquant.sde_models.cev_transition` at the step's
+    uniform; CEV only, absorbing or, at alpha < 1/2, reflecting).  The
+    running maximum starts at ``s0`` and is refreshed every
+    ``monitoring_stride`` steps.
     """
-    if stepping not in ("euler", "gbm_exact"):
+    if stepping not in ("euler", "gbm_exact", "cev_exact"):
         raise ValueError(f"unknown stepping {stepping!r}")
-    if stepping == "gbm_exact" and model.kind != "gbm":
-        raise ValueError("exact stepping is only available for GBM")
+    if stepping != "euler" and model.kind != stepping[:3]:
+        raise ValueError(f"{stepping} stepping is only available for "
+                         f"{stepping[:3].upper()}")
     if boundary not in ("free", "absorbing", "reflecting"):
         raise ValueError(f"unknown boundary {boundary!r}")
     dt = T / cfg.steps
@@ -188,6 +207,10 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         p = model.params
         loc = (p.r - 0.5 * p.sigma ** 2) * dt
         scale = p.sigma * sq
+    elif stepping == "cev_exact":
+        law = cev_transition(model.params, dt, boundary)
+    # the exact CEV step reads the uniforms, the others normals
+    fill = _fill_uniforms if stepping == "cev_exact" else _fill_normals
     chunk = _CHUNK_PATHS // _pool.workers()
     width = min(chunk, cfg.paths)   # the paths of a worker's buffers
     piece = max(1, min(width // _FILL_SHARE, _FILL_CELLS // _slots(cfg.steps)))
@@ -212,8 +235,10 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
         stream = _path_stream(cfg.seed, start, cfg.steps)
         for p0 in range(0, n, piece):
             m = min(piece, n - p0)
-            np.copyto(z[:, p0:p0 + m], _fill_normals(u[:m], stream, cfg.steps).T)
-        with stepper:
+            np.copyto(z[:, p0:p0 + m], fill(u[:m], stream, cfg.steps).T)
+        # An exact CEV step is one long scipy.special call per chunk, which
+        # releases the interpreter lock, so the workers take those at once.
+        with nullcontext() if stepping == "cev_exact" else stepper:
             ta, tb = np.empty(n), np.empty(n)
             s_eval = np.empty(n) if boundary == "absorbing" else s
             dead = np.zeros(n, dtype=bool)
@@ -228,6 +253,8 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
                     np.add(loc, ta, out=ta)
                     np.exp(ta, out=ta)
                     s *= ta
+                elif stepping == "cev_exact":
+                    np.copyto(s, law.quantile(s, zj))
                 else:
                     if boundary == "absorbing":
                         # dead paths sit at 0 and are evaluated at 1

@@ -10,6 +10,10 @@ higher-order one-step schemes need.  Two models are provided:
 For CEV the level coefficient is specified through the instantaneous
 lognormal volatility: sigma = sigma_ln * s0^(1 - alpha), so that the
 local relative volatility at the initial spot equals sigma_ln.
+
+Two exact laws serve as references: the lognormal GBM marginal
+(``gbm_exact_marginal``) and the noncentral chi-square CEV transition
+with zero absorbing or, at alpha < 1/2, reflecting (``cev_transition``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import chndtr, chndtrinc, chndtrix, exprel, gammaincc, ndtr
 
 from .distributions import ScalarDistribution, norm_pdf
 
@@ -195,3 +199,86 @@ def gbm_exact_marginal(p: GbmParams, t: float) -> ScalarDistribution:
                 np.where(pos, np.where(finite, mean * ndtr(z - s), mean), 0.0))
 
     return ScalarDistribution(fFM=fFM, second_moment=mean2, support=(0.0, np.inf))
+
+
+def cev_law_exists(alpha: float, boundary: str) -> bool:
+    """Whether the CEV transition has the closed form of :func:`cev_transition`
+    on ``boundary``: absorbed at zero it has at every alpha; reflected there
+    only at alpha < 1/2, where zero is a regular point (at alpha >= 1/2 the
+    process, once at zero, cannot leave it)."""
+    return boundary == "absorbing" or (boundary == "reflecting" and alpha < 0.5)
+
+
+@dataclass(frozen=True)
+class CevTransition:
+    """Exact law of the CEV state a time ``t`` after a state ``s``.
+
+    With p = 2(1 - alpha), nu = 1/(1 - alpha), k as below and
+    x = k s^p e^{r p t}, the variable y = k S_t^p is half a noncentral
+    chi-square (Schroder 1989; Lindsay & Brecher 2012):
+
+    * reflecting at zero: 2y ~ chi'^2(2 - nu, 2x);
+    * absorbing at zero: P(y = 0) = Q(nu/2, x), the regularized upper
+      gamma function, and P(y > v) = P(chi'^2(nu, 2v) <= 2x).
+
+    ``quantile`` inverts it, one uniform per state, so that a Monte Carlo
+    step draws from it exactly; ``sf`` and ``mean`` give the survival
+    function and mean.
+    """
+
+    k: float        # 2r / (sigma^2 p expm1(r p t)), 2 / (sigma^2 p^2 t) at r=0
+    growth: float   # e^{r p t}
+    power: float    # p
+    nu: float
+    boundary: str
+
+    def _x(self, s):
+        return self.k * self.growth * np.asarray(s, dtype=float) ** self.power
+
+    def quantile(self, s, u):
+        """S_t at the probabilities ``u`` in (0, 1), from the states ``s``."""
+        x = self._x(s)
+        u = np.asarray(u, dtype=float)
+        if self.boundary == "reflecting":
+            y = chndtrix(u, 2.0 - self.nu, 2.0 * x)
+        else:
+            x, u = np.broadcast_arrays(x, u)
+            y = np.zeros(x.shape)
+            live = u > gammaincc(0.5 * self.nu, x)
+            # P(chi'^2(nu, y) <= 2x) = 1 - u solved for y; a target within
+            # rounding of the value at y = 0 gives NaN, whose answer is 0
+            y[live] = np.fmax(chndtrinc(2.0 * x[live], self.nu, 1.0 - u[live]),
+                              0.0)
+        return (y / (2.0 * self.k)) ** (1.0 / self.power)
+
+    def sf(self, s, v):
+        """P(S_t > v) from the state ``s``, at the levels ``v`` >= 0."""
+        x = self._x(s)
+        w = 2.0 * self.k * np.asarray(v, dtype=float) ** self.power
+        if self.boundary == "reflecting":
+            return 1.0 - chndtr(w, 2.0 - self.nu, 2.0 * x)
+        return chndtr(2.0 * x, self.nu, w)
+
+    def mean(self, s: float) -> float:
+        """E[S_t] from the state ``s`` > 0: the survival function's
+        integral, taken in units of ``s``."""
+        # Imported here: scipy.integrate takes longer to load than rmquant.
+        from scipy.integrate import quad
+        value, _ = quad(lambda v: self.sf(s, s * v), 0.0, np.inf,
+                        epsabs=1e-13, epsrel=1e-13, limit=200)
+        return s * value
+
+
+def cev_transition(p: CevParams, t: float, boundary: str) -> CevTransition:
+    """The exact CEV transition over a time ``t`` > 0 with zero absorbing or
+    reflecting; refuses a boundary without one (:func:`cev_law_exists`)."""
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    if not cev_law_exists(p.alpha, boundary):
+        raise ValueError(f"CEV has no exact transition on the {boundary} "
+                         f"boundary at alpha = {p.alpha}")
+    power = 2.0 * (1.0 - p.alpha)
+    # exprel(z) = expm1(z) / z, 1 at z = 0
+    k = 2.0 / (p.sigma ** 2 * power ** 2 * t * exprel(p.r * power * t))
+    return CevTransition(k=k, growth=np.exp(p.r * power * t), power=power,
+                         nu=1.0 / (1.0 - p.alpha), boundary=boundary)

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rmquant import (GbmParams, VanillaPayoff, european_price,
-                     gbm_exact_marginal, load_sequence_json)
+from rmquant import (CevParams, GbmParams, Schedule, VanillaPayoff,
+                     cev_model, european_price, gbm_exact_marginal,
+                     load_sequence_json, rmq_run)
 from rmquant import cli, oracles
 from rmquant.cli import main
+from rmquant.sde_models import cev_transition
 
 
 def read_csv(path):
@@ -239,6 +241,27 @@ class TestConvergence:
         assert len(points) == 3 and len(slopes) == 1
         assert 0.5 < float(slopes[0]["beta"]) < 1.5
 
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    def test_cev_target_is_the_exact_mean(self, tmp_path, boundary):
+        # Reflected at zero with alpha < 1/2, the CEV mean is 3.5e-5 above
+        # the forward; absorbed there, it is the forward.
+        out = tmp_path / "conv.json"
+        assert main(["convergence", *CEV_REFLECTING, "--boundary", boundary,
+                     "--schemes", "weak2", "--K-list", "2,3,4", "--N", "20",
+                     "--format", "json", "--out", str(out)]) == 0
+        points = [r for r in json.loads(out.read_text())["rows"]
+                  if r["kind"] == "point"]
+        params = CevParams(s0=0.5, r=0.05, alpha=0.35, sigma_ln=0.5)
+        target = 0.5 * np.exp(0.05)
+        if boundary == "reflecting":
+            target = cev_transition(params, 1.0, boundary).mean(0.5)
+            assert target == pytest.approx(0.5256708816, abs=1e-9)
+        assert len(points) == 3
+        for row in points:
+            seq = rmq_run(cev_model(params), "weak2", 0.5,
+                          Schedule(T=1.0, K=row["K"], n_per_step=20), boundary)
+            assert row["abs_error"] == abs(seq.terminal_mean() - target)
+
     def test_too_few_k_values(self, tmp_path, capsys, monkeypatch):
         rc = main(["convergence", "--schemes", "euler", "--K-list", "8",
                    "--out", str(tmp_path / "x.csv")])
@@ -442,16 +465,26 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
     (["price", "barrier", *CEV_REFLECTING, "--K", "12"],
      (1200, 100, "euler", "reflecting")),
     (["price", "european", *CEV_REFLECTING, "--K", "12"],
-     (1200, 1, "euler", "reflecting")),
+     (1, 1, "cev_exact", "reflecting")),
     (["dist-error", *CEV_REFLECTING, "--boundary", "absorbing", "--K", "3",
-      "--grid-points", "5"], (1200, "euler", "absorbing")),
+      "--grid-points", "5"], (1, "cev_exact", "absorbing")),
     (["price", "european", "--K", "3"], None),
     (["price", "bermudan", "--K", "3", "--fd-time-steps", "60",
       "--fd-space-steps", "120"], None),
     (["dist-error", "--K", "3", "--grid-points", "5"], None),
+    (["price", "european", *CEV_REFLECTING, "--K", "12", "--mc-steps", "60"],
+     (60, 1, "euler", "reflecting")),
+    (["price", "european", "--model", "cev", "--boundary", "reflecting",
+      "--K", "3"], (1200, 1, "euler", "reflecting")),
+    (["price", "european", *CEV_REFLECTING, "--boundary", "free", "--K", "3"],
+     (1200, 1, "euler", "free")),
+    (["price", "barrier", *CEV_REFLECTING, "--K", "7"],
+     (1204, 172, "euler", "reflecting")),
 ], ids=["gbm-barrier", "gbm-barrier-mc-steps", "gbm-barrier-absorbing",
         "cev-barrier", "cev-european", "cev-absorbing-dist-error",
-        "gbm-european", "bermudan", "gbm-dist-error"])
+        "gbm-european", "bermudan", "gbm-dist-error",
+        "cev-european-mc-steps", "cev-european-default-alpha-reflecting",
+        "cev-european-free", "cev-barrier-K7"])
 def test_monte_carlo_reference_routing(monkeypatch, capsys, argv, expected):
     calls = []
 
@@ -590,6 +623,9 @@ def no_computation(monkeypatch):
     (["price", "european", "--model", "cev", "--seed", "1", "--mc-steps", "0"],
      "steps must be >= 1"),
     (["price", "barrier", "--seed", "1", "--mc-steps", "1201"], "divisible by K"),
+    # an explicit step count keeps its check; the default is a multiple of K
+    (["price", "barrier", "--model", "cev", "--boundary", "absorbing",
+      "--seed", "1", "--mc-steps", "1201"], "--mc-steps must be divisible by K"),
     (["price", "european", "--model", "cev", "--seed", "-1"],
      "seed must lie in [0, 2**128), got -1"),
     (["price", "barrier", "--seed", "-1"],
@@ -601,6 +637,7 @@ def no_computation(monkeypatch):
         "cev-s0-inf", "cev-sigma-ln-nan", "grid-points-0", "lambda-inf",
         "fd-smax-mult-inf", "barrier-mc-paths-0", "barrier-mc-steps-0",
         "cev-european-mc-steps-0", "barrier-mc-steps-indivisible",
+        "cev-barrier-mc-steps-indivisible",
         "cev-european-seed-negative", "barrier-seed-negative",
         "gbm-european-strike-0", "gbm-european-strikes-from-0"])
 def test_invalid_numbers_are_usage_errors(capsys, no_computation, argv, named):

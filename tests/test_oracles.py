@@ -12,11 +12,12 @@ from scipy.special import ndtri
 
 import rmquant.oracles
 from rmquant import (FdConfig, McConfig, SdeModel, VanillaPayoff, _pool,
-                     black_scholes, cn_bermudan, empirical_cdf,
+                     black_scholes, cev_model, cn_bermudan, empirical_cdf,
                      gbm_exact_marginal)
 from rmquant.oracles import mc_estimate, path_normals, simulate_terminal
+from rmquant.sde_models import cev_transition
 
-from conftest import CEV_LOW_ALPHA, GBM
+from conftest import CEV, CEV_LOW_ALPHA, GBM
 
 BS_PUT_ATM = 9.354197236057231  # put, s0=K=100, r=5%, sigma=30%, T=1
 
@@ -134,9 +135,17 @@ class TestPathStreams:
 
     def test_chunking_invariance(self, monkeypatch, gbm, cev_low_alpha):
         cfg = McConfig(paths=13289, steps=12, seed=3, monitoring_stride=3)
-        cases = ((gbm, 100.0, "free"),
-                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing"),
-                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting"))
+        # an exact CEV step, a noncentral chi-square inverse per path, is
+        # slow next to an Euler step: those paths take one step, as the
+        # CLI's references do
+        exact = McConfig(paths=13289, steps=1, seed=3)
+        cases = ((gbm, 100.0, "free", "euler", cfg),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing", "euler", cfg),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting", "euler", cfg),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "absorbing", "cev_exact",
+                  exact),
+                 (cev_low_alpha, CEV_LOW_ALPHA.s0, "reflecting", "cev_exact",
+                  exact))
         # several chunks per worker with a ragged last one (13289 paths in
         # chunks of 512, the default and 6144 paths over the workers), and
         # the default chunks filled 1 (a budget below one path's 12
@@ -150,14 +159,14 @@ class TestPathStreams:
                     + [(10 ** 6, *fill)])
         for workers in (1, 2):
             monkeypatch.setattr(_pool, "workers", lambda: workers)
-            for model, s0, boundary in cases:
+            for model, s0, boundary, stepping, run_cfg in cases:
                 runs = []
                 for chunk, cells, share in settings:
                     monkeypatch.setattr(rmquant.oracles, "_CHUNK_PATHS", chunk)
                     monkeypatch.setattr(rmquant.oracles, "_FILL_CELLS", cells)
                     monkeypatch.setattr(rmquant.oracles, "_FILL_SHARE", share)
-                    runs.append(simulate_terminal(model, s0, 1.0, cfg,
-                                                  boundary,
+                    runs.append(simulate_terminal(model, s0, 1.0, run_cfg,
+                                                  boundary, stepping,
                                                   want_running_max=True))
                 *chunked, (t1, m1) = runs
                 for t, m in chunked:
@@ -513,6 +522,85 @@ class TestCrankNicolson:
         with pytest.raises(LinAlgError, match="singular"):
             cn_bermudan(linear_model(0.0, 0.0), 100.0, 1.0, -128.0,
                         VanillaPayoff("put", 100.0), [], FdConfig(64, 100))
+
+
+def exact_cev_paths(cfg, boundary):
+    """Terminal states and running maxima of CEV_LOW_ALPHA over T = 1 from
+    a plain loop of whole-array exact steps, each at its path's slot."""
+    law = cev_transition(CEV_LOW_ALPHA, 1.0 / cfg.steps, boundary)
+    slots = 4 * ((cfg.steps + 3) // 4)
+    u = Generator(Philox(key=cfg.seed)).random((cfg.paths, slots)) + 2.0 ** -54
+    s = np.full(cfg.paths, CEV_LOW_ALPHA.s0)
+    want_max = s.copy()
+    for j in range(cfg.steps):
+        s = law.quantile(s, u[:, j])
+        if (j + 1) % cfg.monitoring_stride == 0:
+            want_max = np.maximum(want_max, s)
+    return s, want_max
+
+
+def ks_against_law(term, law, s0):
+    """KS distance of the live ``term`` to the closed-form law from ``s0``,
+    and the absorbed count's distance to its mean in standard deviations."""
+    n = term.size
+    atom = 1.0 - law.sf(s0, 0.0)
+    live = np.sort(term[term > 0.0])
+    # the live part's cdf, conditional on survival
+    cdf = (1.0 - law.sf(s0, live) - atom) / (1.0 - atom)
+    m = live.size
+    ks = max(np.max(np.arange(1, m + 1) / m - cdf),
+             np.max(cdf - np.arange(m) / m))
+    z = (n - m - n * atom) / np.sqrt(n * atom * (1.0 - atom)) if atom else 0.0
+    return ks * np.sqrt(m), z
+
+
+class TestCevExact:
+    """``cev_exact`` steps draw from the exact CEV law, one uniform per path
+    and step from the path's own Philox slots."""
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+    @pytest.mark.parametrize("steps", [1, 2], ids=["one-step", "half-steps"])
+    def test_terminal_law_is_the_closed_form(self, cev_low_alpha, boundary,
+                                             steps):
+        # Two exact half-steps compound to the one-step law.  The scaled KS
+        # distance's 1% critical value is 1.63; the absorbed share must sit
+        # within 4 binomial standard deviations of the atom.
+        cfg = McConfig(paths=200_000 // steps, steps=steps, seed=2024)
+        term = simulate_terminal(cev_low_alpha, CEV_LOW_ALPHA.s0, 1.0, cfg,
+                                 boundary, "cev_exact")
+        law = cev_transition(CEV_LOW_ALPHA, 1.0, boundary)
+        ks, z = ks_against_law(term, law, CEV_LOW_ALPHA.s0)
+        assert ks < 1.63 and abs(z) < 4.0
+        if boundary == "absorbing":
+            assert np.any(term == 0.0)
+        else:
+            assert np.all(term > 0.0)
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+    @pytest.mark.parametrize("steps, stride", [(6, 2), (7, 7)])
+    def test_paths_follow_the_plain_loop(self, cev_low_alpha, boundary, steps,
+                                         stride):
+        # 7 steps read a strided view of each path's 8 slots
+        cfg = McConfig(paths=3001, steps=steps, seed=13,
+                       monitoring_stride=stride)
+        term, smax = simulate_terminal(cev_low_alpha, CEV_LOW_ALPHA.s0, 1.0,
+                                       cfg, boundary, "cev_exact",
+                                       want_running_max=True)
+        s, want_max = exact_cev_paths(cfg, boundary)
+        assert np.array_equal(term, s) and np.array_equal(smax, want_max)
+
+    def test_refused_where_there_is_no_law(self, gbm, cev, cev_low_alpha):
+        cfg = McConfig(paths=10, steps=1, seed=1)
+        for model, boundary, match in (
+                (gbm, "absorbing", "only available for CEV"),
+                (cev_low_alpha, "free", "no exact transition on the free"),
+                (cev, "reflecting", "no exact transition on the reflecting"),
+                (cev_model(dataclasses.replace(CEV, alpha=0.5)), "reflecting",
+                 "no exact transition on the reflecting")):
+            with pytest.raises(ValueError, match=match):
+                simulate_terminal(model, 1.0, 1.0, cfg, boundary, "cev_exact")
+        with pytest.raises(ValueError, match="only available for GBM"):
+            simulate_terminal(cev, 1.0, 1.0, cfg, "absorbing", "gbm_exact")
 
 
 def test_oracles_do_not_share_engine_kernels():

@@ -332,6 +332,24 @@ def test_monte_carlo_chunks_are_bit_identical(monkeypatch):
     assert np.any(t1 == 0.0) and np.all(m1 >= CEV_LOW_ALPHA.s0)
 
 
+@pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+def test_exact_cev_chunks_are_bit_identical(monkeypatch, boundary):
+    # The exact CEV steps run on every worker at once, outside the lock
+    # that takes the Euler and exact GBM steps one worker at a time.
+    model = cev_model(CEV_LOW_ALPHA)
+    cfg = McConfig(paths=20001, steps=4, seed=5, monitoring_stride=2)
+
+    def run():
+        return oracles.simulate_terminal(model, CEV_LOW_ALPHA.s0, 1.0, cfg,
+                                         boundary, "cev_exact",
+                                         want_running_max=True)
+
+    (t1, m1), (t2, m2) = (with_workers(monkeypatch, n, run) for n in (1, 2))
+    assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
+    assert np.all(m1 >= CEV_LOW_ALPHA.s0)
+    assert np.any(t1 == 0.0) == (boundary == "absorbing")
+
+
 @pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
 def test_workers_without_sched_getaffinity(monkeypatch, cpus, want):
     # macOS and Windows have no os.sched_getaffinity

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,7 @@ from scipy.integrate import quad
 from rmquant import (CevParams, GbmParams, cev_model, gbm_exact_marginal,
                      sde_models)
 
-from conftest import CEV, GBM, assert_derivative
+from conftest import CEV, CEV_LOW_ALPHA, GBM, assert_derivative
 
 CEV_SIGMA = 1.1943215116604918          # 0.3 * 100**0.3
 CEV_SIGMA_LOW_ALPHA = 0.31864015682981554  # 0.5 * 0.5**0.65
@@ -123,6 +125,68 @@ class TestGbmExactMarginal:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             gbm_exact_marginal(GBM, 0.0)
+
+
+class TestCevTransition:
+    """The exact CEV law of ``cev_transition``: its means, its quantile and
+    where it exists."""
+
+    def test_paper_reflected_mean(self):
+        # reflection at zero lifts the mean 3.5e-5 above the forward
+        law = sde_models.cev_transition(CEV_LOW_ALPHA, 1.0, "reflecting")
+        assert law.mean(CEV_LOW_ALPHA.s0) == pytest.approx(0.5256708816,
+                                                            abs=1e-9)
+
+    @pytest.mark.parametrize("params", [
+        CEV_LOW_ALPHA, CEV, dataclasses.replace(CEV_LOW_ALPHA, r=0.0),
+        dataclasses.replace(CEV, r=-0.03)], ids=["low-alpha", "paper",
+                                                 "r-zero", "r-negative"])
+    def test_absorbed_mean_is_the_forward(self, params):
+        # absorbed at zero, the discounted state is a martingale
+        law = sde_models.cev_transition(params, 1.0, "absorbing")
+        assert law.mean(params.s0) == pytest.approx(
+            params.s0 * np.exp(params.r), rel=1e-10)
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+    def test_quantile_inverts_the_survival_function(self, boundary):
+        law = sde_models.cev_transition(CEV_LOW_ALPHA, 0.5, boundary)
+        s = np.array([0.05, 0.5, 2.0])[:, None]
+        u = np.linspace(0.01, 0.99, 99)
+        atom = 1.0 - law.sf(s, 0.0)
+        x = law.quantile(s, u)
+        assert x.shape == (3, 99) and np.all(np.diff(x, axis=1) >= 0.0)
+        live = u > atom
+        assert np.all((x > 0.0) == live)
+        assert np.allclose(law.sf(s, x)[live],
+                           np.broadcast_to(1.0 - u, x.shape)[live],
+                           rtol=0.0, atol=1e-9)
+        if boundary == "absorbing":
+            # the atom at zero: Q(nu/2, x) of the state's x
+            assert atom[0, 0] > 0.1 and 0.0 < atom[1, 0] < 0.01
+        else:
+            assert np.all(atom == 0.0)
+
+    def test_absorbed_state_stays_at_zero(self):
+        law = sde_models.cev_transition(CEV, 0.1, "absorbing")
+        assert np.all(law.quantile(0.0, [1e-9, 0.5, 1.0 - 1e-9]) == 0.0)
+
+    @pytest.mark.parametrize("params, boundary, exists", [
+        (CEV_LOW_ALPHA, "absorbing", True), (CEV_LOW_ALPHA, "reflecting", True),
+        (CEV, "absorbing", True), (CEV, "reflecting", False),
+        (dataclasses.replace(CEV, alpha=0.5), "reflecting", False),
+        (CEV_LOW_ALPHA, "free", False)])
+    def test_exists_absorbed_or_reflected_below_one_half(self, params,
+                                                         boundary, exists):
+        assert sde_models.cev_law_exists(params.alpha, boundary) == exists
+        if exists:
+            sde_models.cev_transition(params, 1.0, boundary)
+        else:
+            with pytest.raises(ValueError, match="no exact transition"):
+                sde_models.cev_transition(params, 1.0, boundary)
+
+    def test_refuses_nonpositive_time(self):
+        with pytest.raises(ValueError, match="t must be positive"):
+            sde_models.cev_transition(CEV, 0.0, "absorbing")
 
 
 def floored_reference(x):
