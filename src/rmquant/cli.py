@@ -13,9 +13,11 @@ european, Crank-Nicolson for a bermudan, and Monte Carlo for a CEV
 european and for a barrier.  A GBM barrier's paths are drawn with the
 exact lognormal step at its K monitoring dates, one step per date by
 default, so that reference has no discretization error.  A CEV
-european's terminal states are drawn from the exact CEV law in one step
-where it exists (absorbing at zero, or reflecting at alpha < 1/2) and no
-``--mc-steps`` is given; otherwise, and for every CEV barrier, they are
+european's terminal states are drawn from the exact CEV law where it
+exists (absorbing at zero, or reflecting at alpha < 1/2), in one step or
+``--mc-steps`` steps, as long as those exact steps cost no more than the
+1200 Euler steps they replace: the cost of an exact draw grows with the
+law's noncentrality.  Otherwise, and for every CEV barrier, they are
 Euler, 1200 steps by default (rounded up to a multiple of K for a
 barrier).  ``dist-error`` compares with the exact marginal for GBM and
 with a Monte Carlo cdf for CEV, drawn as for a CEV european.  One
@@ -78,6 +80,12 @@ DIST_ERROR_SCHEMA = "rmquant.dist-error.v1"
 ALL_SCHEMES = tuple(SCHEME_BUILDERS)
 MC_PATHS = 1_000_000    # Monte Carlo reference defaults
 MC_STEPS = 1200
+# One exact CEV draw costs about _EXACT_DRAW_BASE + _EXACT_DRAW_SLOPE * sqrt(2x)
+# Euler path-steps, 2x the noncentrality of the step's law: fitted from 1-step
+# cev_exact and 1200-step Euler runs of 20000 paths on 2 workers of a 2-vCPU
+# Intel Xeon, absorbing (the dearer boundary), 2x from 0.6 to 1.2e5.
+_EXACT_DRAW_BASE = 50.0
+_EXACT_DRAW_SLOPE = 15.0
 GBM_SIGMA, CEV_ALPHA, CEV_SIGMA_LN = 0.3, 0.7, 0.3   # model parameter defaults
 
 
@@ -148,10 +156,11 @@ def _mc_args(sp):
                     help=f"Monte Carlo time steps (default {MC_STEPS}, "
                          f"rounded up to a multiple of K for a CEV barrier; "
                          f"K for a GBM barrier, whose paths are drawn "
-                         f"exactly at the monitoring dates; 1 exact step for "
-                         f"a CEV european or dist-error, absorbing or "
-                         f"reflecting at alpha < 1/2, which an explicit "
-                         f"value turns into Euler steps)")
+                         f"exactly at the monitoring dates.  A CEV european "
+                         f"or dist-error, absorbing or reflecting at alpha "
+                         f"< 1/2, draws its steps, 1 by default, from the "
+                         f"exact law where they cost no more than "
+                         f"{MC_STEPS} Euler steps)")
 
 
 def _model_rules(ns):
@@ -176,21 +185,33 @@ def _refuse_unread(rules):
         raise ValueError("; ".join(refused))
 
 
-def _mc_reference(ns, rules):
+def _exact_cev_pays(params, T, boundary, steps):
+    """Whether ``steps`` exact CEV steps over ``T`` exist on ``boundary`` and
+    cost no more per path than the ``MC_STEPS`` Euler steps of the default
+    reference, judged at the law's noncentrality from ``s0``."""
+    if steps < 1 or not cev_law_exists(params.alpha, boundary):
+        return False
+    nc = cev_transition(params, T / steps, boundary).noncentrality(params.s0)
+    return steps * (_EXACT_DRAW_BASE + _EXACT_DRAW_SLOPE * np.sqrt(nc)) <= MC_STEPS
+
+
+def _mc_reference(ns, params, rules):
     """The run's Monte Carlo reference, ``(McConfig, boundary, stepping)``,
     or None where it is Black-Scholes (a GBM european), Crank-Nicolson (a
-    bermudan) or the exact marginal (a GBM ``dist-error``).
+    bermudan) or the exact marginal (a GBM ``dist-error``).  ``params`` are
+    the run's model parameters.
 
     Refuses, with ``rules`` in one :func:`_refuse_unread` call, the Monte
     Carlo flags of a run that would not read them, and requires ``--seed``
     where it simulates.  A barrier is read at its K monitoring dates, so
     its steps must divide among them.  A GBM barrier steps exactly, once
     per date unless ``--mc-steps`` splits each date's step into sub-steps
-    of the same law.  A CEV european or ``dist-error`` without
-    ``--mc-steps`` draws its terminal states exactly, in one step, where
-    the law exists (absorbing, or reflecting at alpha < 1/2).  Otherwise
-    CEV steps Euler on the run's boundary: ``--mc-steps`` steps, or 1200,
-    rounded up to a multiple of K for a barrier."""
+    of the same law.  A CEV european or ``dist-error`` draws its terminal
+    states from the exact law, in ``--mc-steps`` steps or one, where
+    :func:`_exact_cev_pays` finds them no dearer than the Euler run.
+    Otherwise CEV steps Euler on the run's
+    boundary: ``--mc-steps`` steps, or 1200, rounded up to a multiple of K
+    for a barrier."""
     instrument = getattr(ns, "instrument", ns.command)
     barrier = instrument == "barrier"
     simulates = barrier or (ns.model == "cev" and instrument != "bermudan")
@@ -204,13 +225,14 @@ def _mc_reference(ns, rules):
     if ns.seed is None:
         raise ValueError(f"a {ns.model.upper()} {instrument} reference is "
                          f"Monte Carlo and needs --seed")
-    alpha = CEV_ALPHA if ns.alpha is None else ns.alpha
     steps = ns.mc_steps
+    exact_steps = 1 if steps is None else steps
     if ns.model == "gbm":   # a barrier
         stepping, boundary = "gbm_exact", FREE
         steps = ns.K if steps is None else steps
-    elif steps is None and not barrier and cev_law_exists(alpha, ns.boundary):
-        stepping, boundary, steps = "cev_exact", ns.boundary, 1
+    elif not barrier and _exact_cev_pays(params, ns.T, ns.boundary,
+                                         exact_steps):
+        stepping, boundary, steps = "cev_exact", ns.boundary, exact_steps
     else:
         stepping, boundary = "euler", ns.boundary
         if steps is None:   # a barrier's: the least multiple of K >= MC_STEPS
@@ -426,8 +448,8 @@ def cmd_price(ns) -> int:
     # Every reference is computed before the run, so that a bad K, strike,
     # barrier level, grid or Monte Carlo size is refused at once.
     sched = _schedule(ns, ns.K)
-    mc = _mc_reference(ns, _model_rules(ns))
     model, params = _build_model(ns)
+    mc = _mc_reference(ns, params, _model_rules(ns))
     kind, r, disc = ns.kind, ns.r, np.exp(-ns.r * ns.T)
     atm = ns.strike if ns.strike is not None else params.s0
     if barrier:   # one option, quoted at every barrier level
@@ -508,8 +530,8 @@ def cmd_dist_error(ns) -> int:
     if ns.grid_points < 1:
         raise ValueError("--grid-points must be >= 1")
     sched = _schedule(ns, ns.K)   # a bad K is refused before the reference
-    mc = _mc_reference(ns, _model_rules(ns))
     model, params = _build_model(ns)
+    mc = _mc_reference(ns, params, _model_rules(ns))
     if mc is None:
         ref = gbm_exact_marginal(params, ns.T)
         mu = (params.r - 0.5 * params.sigma ** 2) * ns.T
@@ -581,7 +603,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     tok.lstrip("-").split("=", 1)[0] for tok in unknown))
         _check_out(ns.out)
         return ns.func(ns)
-    except (RmqError, CoefficientDomainError) as exc:
+    except (RmqError, CoefficientDomainError, FloatingPointError) as exc:
         print(f"rmquant: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -182,6 +182,10 @@ def path_normals(seed: int, path_start: int, n_paths: int,
     return _fill_normals(u, _path_stream(seed, path_start, steps), steps)
 
 
+# The model kind that each exact stepping draws for.
+_EXACT_STEPPING_KIND = {"gbm_exact": "gbm", "cev_exact": "cev"}
+
+
 def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
                       boundary: str = "free", stepping: str = "euler",
                       want_running_max: bool = False):
@@ -194,11 +198,12 @@ def simulate_terminal(model: SdeModel, s0: float, T: float, cfg: McConfig,
     running maximum starts at ``s0`` and is refreshed every
     ``monitoring_stride`` steps.
     """
-    if stepping not in ("euler", "gbm_exact", "cev_exact"):
+    if stepping not in ("euler", *_EXACT_STEPPING_KIND):
         raise ValueError(f"unknown stepping {stepping!r}")
-    if stepping != "euler" and model.kind != stepping[:3]:
+    kind = _EXACT_STEPPING_KIND.get(stepping, model.kind)
+    if model.kind != kind:
         raise ValueError(f"{stepping} stepping is only available for "
-                         f"{stepping[:3].upper()}")
+                         f"{kind.upper()}")
     if boundary not in ("free", "absorbing", "reflecting"):
         raise ValueError(f"unknown boundary {boundary!r}")
     dt = T / cfg.steps

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import chndtr, chndtrinc, chndtrix, exprel, gammaincc, ndtr
+from scipy.special import (chndtr, chndtrinc, chndtrix, exprel, gammainc,
+                           gammaincc, ndtr)
 
 from .distributions import ScalarDistribution, norm_pdf
 
@@ -223,7 +224,8 @@ class CevTransition:
 
     ``quantile`` inverts it, one uniform per state, so that a Monte Carlo
     step draws from it exactly; ``sf`` and ``mean`` give the survival
-    function and mean.
+    function and mean, and ``noncentrality`` gives 2x, on which the cost
+    of an inverse grows.
     """
 
     k: float        # 2r / (sigma^2 p expm1(r p t)), 2 / (sigma^2 p^2 t) at r=0
@@ -232,32 +234,41 @@ class CevTransition:
     nu: float
     boundary: str
 
-    def _x(self, s):
-        return self.k * self.growth * np.asarray(s, dtype=float) ** self.power
+    def noncentrality(self, s):
+        """2x, the noncentrality of the law from the states ``s``."""
+        return 2.0 * self.k * self.growth * np.asarray(s, dtype=float) ** self.power
 
     def quantile(self, s, u):
-        """S_t at the probabilities ``u`` in (0, 1), from the states ``s``."""
-        x = self._x(s)
+        """S_t at the probabilities ``u`` in (0, 1), from the states ``s``.
+        Raises FloatingPointError where the noncentral chi-square inverse
+        finds no root."""
+        nc = self.noncentrality(s)
         u = np.asarray(u, dtype=float)
         if self.boundary == "reflecting":
-            y = chndtrix(u, 2.0 - self.nu, 2.0 * x)
+            y = chndtrix(u, 2.0 - self.nu, nc)
         else:
-            x, u = np.broadcast_arrays(x, u)
-            y = np.zeros(x.shape)
-            live = u > gammaincc(0.5 * self.nu, x)
-            # P(chi'^2(nu, y) <= 2x) = 1 - u solved for y; a target within
-            # rounding of the value at y = 0 gives NaN, whose answer is 0
-            y[live] = np.fmax(chndtrinc(2.0 * x[live], self.nu, 1.0 - u[live]),
-                              0.0)
+            nc, u = np.broadcast_arrays(nc, u)
+            y = np.zeros(nc.shape)
+            live = u > gammaincc(0.5 * self.nu, 0.5 * nc)
+            # P(chi'^2(nu, y) <= 2x) = 1 - u solved for y.  1 - u is held
+            # below the value at y = 0, P(chi^2(nu) <= 2x), where rounding
+            # would lift it to that value or past it: there the equation has
+            # no root, and the answer is the least y that can be resolved.
+            top = np.nextafter(gammainc(0.5 * self.nu, 0.5 * nc[live]), 0.0)
+            y[live] = chndtrinc(nc[live], self.nu,
+                                np.fmin(1.0 - u[live], top))
+        if np.isnan(y).any():
+            raise FloatingPointError("the exact CEV step found no quantile "
+                                     "for some paths")
         return (y / (2.0 * self.k)) ** (1.0 / self.power)
 
     def sf(self, s, v):
         """P(S_t > v) from the state ``s``, at the levels ``v`` >= 0."""
-        x = self._x(s)
+        nc = self.noncentrality(s)
         w = 2.0 * self.k * np.asarray(v, dtype=float) ** self.power
         if self.boundary == "reflecting":
-            return 1.0 - chndtr(w, 2.0 - self.nu, 2.0 * x)
-        return chndtr(2.0 * x, self.nu, w)
+            return 1.0 - chndtr(w, 2.0 - self.nu, nc)
+        return chndtr(nc, self.nu, w)
 
     def mean(self, s: float) -> float:
         """E[S_t] from the state ``s`` > 0: the survival function's

@@ -12,7 +12,7 @@ from scipy.special import ndtr
 from rmquant import (CevParams, GbmParams, Schedule, VanillaPayoff,
                      cev_model, european_price, gbm_exact_marginal,
                      load_sequence_json, rmq_run)
-from rmquant import cli, oracles
+from rmquant import cli, oracles, sde_models
 from rmquant.cli import main
 from rmquant.sde_models import cev_transition
 
@@ -218,6 +218,16 @@ class TestPrice:
                    "--mc-steps", "120", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "boundary" in capsys.readouterr().err
+
+    def test_exact_reference_without_a_quantile_is_numerical_failure(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sde_models, "chndtrix",
+                            lambda u, df, nc: np.full(np.shape(u), np.nan))
+        rc = main(["price", "european", *CEV_REFLECTING, "--K", "3",
+                   "--N", "20", "--seed", "1", "--mc-paths", "100",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "no quantile" in capsys.readouterr().err
 
     def test_single_path_reference_has_zero_standard_error(self, tmp_path):
         out = tmp_path / "prices.csv"
@@ -455,7 +465,11 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
 
 # expected: a simulate_terminal call's (steps, monitoring stride, stepping,
 # boundary), an empirical_cdf call's (steps, stepping, boundary), or None
-# where the reference is Black-Scholes, Crank-Nicolson or the exact marginal
+# where the reference is Black-Scholes, Crank-Nicolson or the exact marginal.
+# A CEV european steps exactly where those steps cost no more than 1200
+# Euler steps: 2 steps of the paper's law (2x = 9.8 for the whole T) do,
+# 60 do not; one step of the default law does at T = 1 (2x = 125), not at
+# T = 0.01 (2x = 1.2e4).
 @pytest.mark.parametrize("argv, expected", [
     (["price", "barrier", "--K", "12"], (12, 1, "gbm_exact", "free")),
     (["price", "barrier", "--K", "12", "--mc-steps", "120"],
@@ -472,8 +486,14 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
     (["price", "bermudan", "--K", "3", "--fd-time-steps", "60",
       "--fd-space-steps", "120"], None),
     (["dist-error", "--K", "3", "--grid-points", "5"], None),
+    (["price", "european", *CEV_REFLECTING, "--K", "12", "--mc-steps", "2"],
+     (2, 1, "cev_exact", "reflecting")),
     (["price", "european", *CEV_REFLECTING, "--K", "12", "--mc-steps", "60"],
      (60, 1, "euler", "reflecting")),
+    (["price", "european", "--model", "cev", "--boundary", "absorbing",
+      "--K", "3"], (1, 1, "cev_exact", "absorbing")),
+    (["price", "european", "--model", "cev", "--boundary", "absorbing",
+      "--T", "0.01", "--K", "3"], (1200, 1, "euler", "absorbing")),
     (["price", "european", "--model", "cev", "--boundary", "reflecting",
       "--K", "3"], (1200, 1, "euler", "reflecting")),
     (["price", "european", *CEV_REFLECTING, "--boundary", "free", "--K", "3"],
@@ -483,7 +503,10 @@ CEV_REFLECTING = ["--model", "cev", "--s0", "0.5", "--alpha", "0.35",
 ], ids=["gbm-barrier", "gbm-barrier-mc-steps", "gbm-barrier-absorbing",
         "cev-barrier", "cev-european", "cev-absorbing-dist-error",
         "gbm-european", "bermudan", "gbm-dist-error",
-        "cev-european-mc-steps", "cev-european-default-alpha-reflecting",
+        "cev-european-exact-mc-steps", "cev-european-mc-steps",
+        "cev-european-default-alpha-absorbing",
+        "cev-european-large-noncentrality",
+        "cev-european-default-alpha-reflecting",
         "cev-european-free", "cev-barrier-K7"])
 def test_monte_carlo_reference_routing(monkeypatch, capsys, argv, expected):
     calls = []

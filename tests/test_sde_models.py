@@ -166,6 +166,32 @@ class TestCevTransition:
         else:
             assert np.all(atom == 0.0)
 
+    @pytest.mark.parametrize("params, t, boundary", [
+        (CEV, 0.01, "absorbing"), (dataclasses.replace(CEV, alpha=0.95), 1.0,
+                                   "absorbing"),
+        (CEV_LOW_ALPHA, 0.001, "absorbing"),
+        (CEV_LOW_ALPHA, 0.001, "reflecting")],
+        ids=["short-step", "alpha-near-one", "low-alpha-absorbing",
+             "low-alpha-reflecting"])
+    def test_quantile_at_large_noncentrality(self, params, t, boundary):
+        # 2x from 4.5e3 to 1.2e4, where the zero atom underflows: the lowest
+        # uniform a Monte Carlo step reads, 2^-54, gives a state in the
+        # lower tail, not 0
+        law = sde_models.cev_transition(params, t, boundary)
+        assert law.noncentrality(params.s0) > 4000.0
+        u = np.linspace(0.01, 0.99, 99)
+        x = law.quantile(params.s0, u)
+        assert np.allclose(law.sf(params.s0, x), 1.0 - u, rtol=0.0, atol=1e-9)
+        low = law.quantile(params.s0, [2.0 ** -54, 1e-15, 1e-12])
+        assert 0.0 < low[0] <= low[1] < low[2] < x[0]
+
+    def test_quantile_without_a_root_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sde_models, "chndtrinc",
+                            lambda x, df, p: np.full(np.shape(p), np.nan))
+        law = sde_models.cev_transition(CEV, 1.0, "absorbing")
+        with pytest.raises(FloatingPointError, match="no quantile"):
+            law.quantile(CEV.s0, [0.25, 0.5])
+
     def test_absorbed_state_stays_at_zero(self):
         law = sde_models.cev_transition(CEV, 0.1, "absorbing")
         assert np.all(law.quantile(0.0, [1e-9, 0.5, 1.0 - 1e-9]) == 0.0)
